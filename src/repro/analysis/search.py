@@ -14,6 +14,13 @@ seeded reservoir sample over the tied candidates (the paper picks
 randomly; seeding keeps runs reproducible, and reservoir sampling keeps
 the pick uniform however many candidates tie).
 
+Every engine that scores each feasible candidate also ranks them as it
+goes: :attr:`SearchResult.ranked` holds the best
+:data:`~repro.config.SEARCH_RANKED_TOP_K` in provenance order
+(:func:`candidate_rank_key`, with the picked candidate first), so mapping
+provenance reads its ranking off the compile's own search instead of
+re-running it with ``keep_all``.
+
 Three engines share that contract:
 
 * :func:`search_mapping_reference` — the original exhaustive loop.  It
@@ -51,6 +58,7 @@ reservoir sampler and consumes the same random draws.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
@@ -64,6 +72,7 @@ from ..config import (
     MAX_BLOCK_SIZE,
     SEARCH_ENGINE_ENV,
     SEARCH_ENGINES,
+    SEARCH_RANKED_TOP_K,
     SEARCH_SMALL_SPACE_CANDIDATES,
     TIE_BREAK_SEED,
 )
@@ -95,6 +104,12 @@ class SearchResult:
     #: Every feasible candidate with its score (populated only when
     #: ``keep_all=True``; used by the Fig. 17 scatter experiment).
     all_scored: List[ScoredMapping] = field(default_factory=list)
+    #: The best ``SEARCH_RANKED_TOP_K`` feasible candidates in provenance
+    #: order (:func:`candidate_rank_key`, the picked candidate first),
+    #: at analysis sizes and before ControlDOP.  ``None`` when the engine
+    #: did not score every feasible candidate (the pruned walk without
+    #: ``keep_all``, a degraded fallback).
+    ranked: Optional[List[ScoredMapping]] = None
     # -- search telemetry ------------------------------------------------
     #: Candidates whose score was individually evaluated.
     candidates_scored: int = 0
@@ -297,6 +312,34 @@ class _Incumbent:
         return False
 
 
+def candidate_rank_key(scored: ScoredMapping) -> tuple:
+    """Provenance order: score, then DOP, then lexicographically larger
+    block sizes, all descending.
+
+    The search's deterministic tie-break chain.  Exact ties keep
+    enumeration order under a stable sort; the search itself breaks them
+    with the seeded reservoir, which :func:`winner_first` accounts for.
+    """
+    bsizes = tuple(lm.block_size for lm in scored.mapping.levels)
+    return (-scored.score, -scored.dop, tuple(-b for b in bsizes))
+
+
+def winner_first(
+    ranked: List[ScoredMapping], winner: Optional[ScoredMapping]
+) -> List[ScoredMapping]:
+    """Put the search's pick at rank 1 of a list sorted by
+    :func:`candidate_rank_key`, keeping its length.
+
+    The pick has the largest key, so its exact-tie group is the list's
+    head; the reservoir may have chosen a member that enumerates later
+    than the head, or one that fell past the cut.
+    """
+    if winner is None or not ranked:
+        return ranked
+    rest = [sm for sm in ranked if sm != winner]
+    return [winner] + rest[: len(ranked) - 1]
+
+
 def _cannot_reach(bound: float, best: float) -> bool:
     """Float-safe strict comparison for pruning.
 
@@ -329,9 +372,20 @@ def _finish(
     skipped: int,
     nodes_pruned: int,
     strategy: str,
+    ranked: Optional[List[ScoredMapping]] = None,
 ) -> SearchResult:
     if inc.mapping is None:
         raise SearchError("no feasible mapping satisfies the hard constraints")
+    if ranked is None and all_scored:
+        # The pruned walk ranks nothing while it prunes; under keep_all
+        # it has every candidate, the pick among them by identity.
+        winner = next(sm for sm in all_scored if sm.mapping is inc.mapping)
+        ranked = winner_first(
+            heapq.nsmallest(
+                SEARCH_RANKED_TOP_K, all_scored, key=candidate_rank_key
+            ),
+            winner,
+        )
     adjusted = control_dop(inc.mapping, sizes_t, window, cset.span_all_levels())
     return SearchResult(
         mapping=adjusted,
@@ -340,6 +394,7 @@ def _finish(
         candidates_total=total,
         candidates_feasible=feasible,
         all_scored=all_scored,
+        ranked=ranked,
         candidates_scored=scored,
         candidates_skipped=skipped,
         nodes_pruned=nodes_pruned,
@@ -365,26 +420,36 @@ def _search_exhaustive(
     total = 0
     feasible = 0
     all_scored: List[ScoredMapping] = []
+    winner: Optional[ScoredMapping] = None
 
-    for mapping in enumerate_candidates(num_levels, cset, block_sizes):
-        if budget is not None and not budget.spend():
-            raise _BudgetStop()
-        total += 1
-        score = score_mapping(mapping, cset, sizes_t)
-        if score is None:
-            continue
-        feasible += 1
-        dop = mapping.dop(sizes_t)
-        if keep_all:
-            all_scored.append(ScoredMapping(mapping, score, dop))
-        if inc.decide(
-            score, dop, tuple(lm.block_size for lm in mapping.levels)
-        ):
-            inc.mapping = mapping
+    def scored_candidates() -> Iterator[ScoredMapping]:
+        nonlocal total, feasible, winner
+        for mapping in enumerate_candidates(num_levels, cset, block_sizes):
+            if budget is not None and not budget.spend():
+                raise _BudgetStop()
+            total += 1
+            score = score_mapping(mapping, cset, sizes_t)
+            if score is None:
+                continue
+            feasible += 1
+            sm = ScoredMapping(mapping, score, mapping.dop(sizes_t))
+            if keep_all:
+                all_scored.append(sm)
+            if inc.decide(
+                score, sm.dop, tuple(lm.block_size for lm in mapping.levels)
+            ):
+                inc.mapping = mapping
+                winner = sm
+            yield sm
 
+    # Documented equal to sorted(...)[:k], ties in enumeration order.
+    top = heapq.nsmallest(
+        SEARCH_RANKED_TOP_K, scored_candidates(), key=candidate_rank_key
+    )
     return _finish(
         inc, cset, sizes_t, window, total, feasible, all_scored,
         scored=total, skipped=0, nodes_pruned=0, strategy=strategy,
+        ranked=winner_first(top, winner),
     )
 
 

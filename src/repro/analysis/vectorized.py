@@ -50,7 +50,9 @@ ordering, and the seeded tie-break.  Four mechanisms carry that:
   a candidate's key equals the running maximum.  Draws before the final
   maximum's first appearance are skipped in bulk; only the final tie
   pool — typically a handful of candidates — replays its draws one by
-  one.
+  one.  The same keys give the provenance ranking: a partition for the
+  top :data:`~repro.config.SEARCH_RANKED_TOP_K` plus a stable sort of
+  those few rows, with :class:`Mapping` objects built for them alone.
 * **Overflow containment.**  DOP products are compared as int64; when
   the worst-case product cannot fit, the engine declines
   (:class:`BatchUnsupported`) and the caller falls back to the walk,
@@ -76,6 +78,7 @@ import numpy as np
 from ..config import (
     BLOCK_SIZE_CANDIDATES,
     MAX_BLOCK_SIZE,
+    SEARCH_RANKED_TOP_K,
     TIE_BREAK_SEED,
     WARP_SIZE,
 )
@@ -665,6 +668,25 @@ def _replay_reservoir(keys: np.ndarray, seed: int) -> int:
     return winner
 
 
+def _top_positions(keys: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` largest keys, largest first.
+
+    Equal keys keep enumeration order, so the result equals a stable
+    descending sort cut at ``k``: a partition finds the k-th largest
+    key, every larger key and the earliest ties at the boundary fill the
+    cut, and only those rows are sorted.
+    """
+    n = keys.shape[0]
+    if n > k:
+        kth = np.partition(keys, n - k)[n - k]
+        above = np.flatnonzero(keys > kth)
+        tied = np.flatnonzero(keys == kth)[: k - above.shape[0]]
+        rows = np.concatenate((above, tied))
+    else:
+        rows = np.arange(n)
+    return rows[np.argsort(-keys[rows], kind="stable")]
+
+
 def _hard_feasible_rows(
     cset: ConstraintSet,
     batch: CandidateBatch,
@@ -823,7 +845,7 @@ def _search_vectorized(
     budget: Optional[Budget] = None,
 ):
     """The batch engine body (no timing; the caller stamps elapsed_ms)."""
-    from .search import _BudgetStop, _finish, _Incumbent
+    from .search import _BudgetStop, _finish, _Incumbent, winner_first
 
     if not all(has_batch_predicate(c) for c in cset.constraints):
         raise BatchUnsupported(
@@ -937,45 +959,42 @@ def _search_vectorized(
             code_bound,
         )
 
-    winner = _replay_reservoir(keys, seed)
-    winner_row = (
-        winner if feasible_rows is None else int(feasible_rows[winner])
+    dop_flat = dop_table.reshape(-1)
+
+    def scored_at(pos: int) -> ScoredMapping:
+        """The feasible candidate at ``pos`` (enumeration order)."""
+        row = pos if feasible_rows is None else int(feasible_rows[pos])
+        base_row, combo_row = divmod(row, tile)
+        if state is None:
+            score = float(state_scores[state_b[base_row]])
+        else:
+            score = float(state_scores[state[pos]])
+        dop = int(dop_flat[batch.base_size_ids[base_row] * tile + combo_row])
+        return ScoredMapping(
+            _mapping_for_row(row, batch, span_combos), score, dop
+        )
+
+    picked = scored_at(_replay_reservoir(keys, seed))
+    ranked = winner_first(
+        [
+            scored_at(int(pos))
+            for pos in _top_positions(keys, SEARCH_RANKED_TOP_K)
+        ],
+        picked,
     )
 
     all_scored: List[ScoredMapping] = []
     if keep_all:
-        rows_iter = (
-            range(total) if feasible_rows is None else feasible_rows
-        )
-        dop_flat = dop_table.reshape(-1)
-        for pos, row in enumerate(rows_iter):
-            row = int(row)
-            base_row, combo_row = divmod(row, tile)
-            if state is None:
-                score = float(state_scores[state_b[base_row]])
-            else:
-                score = float(state_scores[state[pos]])
-            dop = int(
-                dop_flat[batch.base_size_ids[base_row] * tile + combo_row]
-            )
-            all_scored.append(
-                ScoredMapping(
-                    _mapping_for_row(row, batch, span_combos), score, dop
-                )
-            )
+        all_scored = [scored_at(pos) for pos in range(n_feas)]
 
     # A pre-decided shim for _finish: the winner and its score are known.
-    winner_base = winner_row // tile
-    if state is None:
-        winner_score = float(state_scores[state_b[winner_base]])
-    else:
-        winner_score = float(state_scores[state[winner]])
     inc = _Incumbent(random.Random(0))
-    inc.mapping = _mapping_for_row(winner_row, batch, span_combos)
-    inc.score = winner_score
+    inc.mapping = picked.mapping
+    inc.score = picked.score
     result = _finish(
         inc, cset, sizes_t, window, total, n_feas, all_scored,
         scored=total, skipped=0, nodes_pruned=0, strategy="vectorized",
+        ranked=ranked,
     )
     result.batch_shape = (total, num_levels)
     return result

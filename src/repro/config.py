@@ -43,6 +43,11 @@ SEARCH_ENGINE_ENV = "REPRO_SEARCH_ENGINE"
 SEARCH_ENGINES = ("auto", "exhaustive", "pruned", "vectorized")
 SEARCH_SMALL_SPACE_CANDIDATES = 64
 
+# How many of the best feasible candidates a search ranks while it scores
+# (``SearchResult.ranked``).  Mapping provenance shows this many by
+# default, so it reads them off the compile's own search.
+SEARCH_RANKED_TOP_K = 5
+
 # Reserved keys in Program.size_hints:
 #   DEFAULT_HINT_KEY overrides the 1000-default for dynamically sized
 #   inner domains (e.g. the average degree of a graph workload);

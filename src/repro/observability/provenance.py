@@ -6,11 +6,18 @@ with per-constraint verdicts and score deltas.  Serialized to JSON it
 lets ``repro explain <artifact>`` render the full rationale from a saved
 file instead of re-running the search.
 
-Building the record re-uses the keep-all search (memoized across calls,
-see :mod:`repro.analysis.cache`), so it is only constructed on demand —
-lazily through :meth:`~repro.runtime.session.CompiledProgram.provenance`,
-or eagerly per compile when ``REPRO_PROVENANCE`` /
-``configure(provenance=True)`` is set.
+The candidate ranking comes from the compile's own search: every engine
+that scores each feasible candidate keeps the best
+:data:`~repro.config.SEARCH_RANKED_TOP_K` as it scores
+(:attr:`~repro.analysis.search.SearchResult.ranked`), so building the
+record runs no search.  Only the pruned walk cannot rank, because it
+prunes; it runs under ``repro trace --detail`` or when the batch engine
+declines on int64 overflow, and for those kernels (or a ``top_k`` above
+the kept ranking) the record re-ranks with a ``keep_all`` search inside a
+``provenance.rank`` span.  The record is built on demand — lazily
+through :meth:`~repro.runtime.session.CompiledProgram.provenance`, or
+eagerly per compile when ``REPRO_PROVENANCE`` /
+``configure(provenance=True)`` is set — under a ``provenance`` span.
 
 This module is imported lazily by the session and the CLI (never from
 ``repro.observability.__init__``) so the tracer/metrics hot path stays
@@ -19,12 +26,15 @@ free of analysis-layer imports.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..config import SEARCH_RANKED_TOP_K
 from ..errors import ReproError
+from .state import get_tracer
 
 #: Bumped on any incompatible artifact change; the loader checks it.
 PROVENANCE_VERSION = 1
@@ -301,11 +311,28 @@ def _verdicts(cset, mapping, sizes_t: Tuple[int, ...]) -> List[VerdictRecord]:
     ]
 
 
-def _candidate_rank_key(scored):
-    """Sort key matching the search's deterministic tie-break chain:
-    score, then DOP, then lexicographically larger block sizes."""
-    bsizes = tuple(lm.block_size for lm in scored.mapping.levels)
-    return (-scored.score, -scored.dop, tuple(-b for b in bsizes))
+def _ranked_candidates(decision, device, top_k: int):
+    """The kernel's top ``top_k`` candidates, the search's pick first.
+
+    Read off the compile's own search when it ranked enough of them;
+    otherwise re-rank with a ``keep_all`` search (raises
+    :class:`~repro.errors.ReproError` when that search fails).
+    """
+    from ..analysis.search import candidate_rank_key, winner_first
+
+    search = decision.search
+    ranked = search.ranked if search is not None else None
+    if ranked is not None and (
+        top_k <= len(ranked) or len(ranked) == search.candidates_feasible
+    ):
+        return ranked[:top_k]
+    with get_tracer().span("provenance.rank", top_k=top_k):
+        full = decision.analysis.select_mapping(
+            window=device.dop_window(), keep_all=True
+        )
+    top = heapq.nsmallest(top_k, full.all_scored, key=candidate_rank_key)
+    # A degraded re-search has no candidates and no pick.
+    return winner_first(top, full.ranked[0] if full.ranked else None)
 
 
 def kernel_provenance(
@@ -313,7 +340,7 @@ def kernel_provenance(
     index: int,
     device,
     strategy,
-    top_k: int = 5,
+    top_k: int = SEARCH_RANKED_TOP_K,
 ) -> KernelProvenance:
     """Build the provenance record for one kernel decision."""
     from ..analysis.scoring import score_mapping
@@ -355,14 +382,13 @@ def kernel_provenance(
         return record
 
     try:
-        full = ka.select_mapping(window=device.dop_window(), keep_all=True)
+        ranked = _ranked_candidates(decision, device, top_k)
     except ReproError as exc:
         record.note = (
             f"candidate ranking unavailable "
             f"({type(exc).__name__}: {exc})"
         )
         return record
-    ranked = sorted(full.all_scored, key=_candidate_rank_key)[:top_k]
     best = ranked[0].score if ranked else (score or 0.0)
     record.candidates = [
         CandidateRecord(
@@ -378,27 +404,30 @@ def kernel_provenance(
     return record
 
 
-def build_provenance(compiled, top_k: int = 5) -> CompileProvenance:
+def build_provenance(
+    compiled, top_k: int = SEARCH_RANKED_TOP_K
+) -> CompileProvenance:
     """Assemble the provenance record for a compiled program."""
-    recipe_digest = None
-    try:
-        recipe = compiled.recipe()
-    except Exception:
-        recipe = None  # provenance is best-effort diagnostics
-    if recipe is not None:
-        recipe_digest = recipe.content_digest()
-    return CompileProvenance(
-        program=compiled.program.name,
-        device=compiled.device.name,
-        strategy=str(compiled.strategy),
-        sizes=dict(compiled.size_hints),
-        degradations=list(compiled.degradations),
-        kernels=[
-            kernel_provenance(
-                decision, index, compiled.device, compiled.strategy,
-                top_k=top_k,
-            )
-            for index, decision in enumerate(compiled.decisions)
-        ],
-        recipe_digest=recipe_digest,
-    )
+    with get_tracer().span("provenance", program=compiled.program.name):
+        recipe_digest = None
+        try:
+            recipe = compiled.recipe()
+        except Exception:
+            recipe = None  # provenance is best-effort diagnostics
+        if recipe is not None:
+            recipe_digest = recipe.content_digest()
+        return CompileProvenance(
+            program=compiled.program.name,
+            device=compiled.device.name,
+            strategy=str(compiled.strategy),
+            sizes=dict(compiled.size_hints),
+            degradations=list(compiled.degradations),
+            kernels=[
+                kernel_provenance(
+                    decision, index, compiled.device, compiled.strategy,
+                    top_k=top_k,
+                )
+                for index, decision in enumerate(compiled.decisions)
+            ],
+            recipe_digest=recipe_digest,
+        )

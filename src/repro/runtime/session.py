@@ -35,6 +35,7 @@ from ..analysis.analyzer import ProgramAnalysis, analyze_program
 from ..analysis.mapping import Mapping
 from ..analysis.shapes import SizeEnv
 from ..codegen.compiler import CompiledModule, compile_program
+from ..config import SEARCH_RANKED_TOP_K
 from ..errors import ReproError, SimulationError
 from ..gpusim.cost import LaunchPlan, estimate_kernel_cost
 from ..gpusim.device import GpuDevice, default_device
@@ -122,13 +123,13 @@ class CompiledProgram:
     def degraded(self) -> bool:
         return bool(self.degradations)
 
-    def provenance(self, top_k: int = 5):
+    def provenance(self, top_k: int = SEARCH_RANKED_TOP_K):
         """The "why this mapping won" record for this compile.
 
-        Re-ranks every kernel's candidates (top ``top_k``) with
-        per-constraint verdicts and score deltas; the result serializes to
-        JSON (``repro explain`` renders saved artifacts).  Built lazily and
-        cached — the first call fixes ``top_k``.
+        Every kernel's top ``top_k`` candidates, as ranked by its own
+        search, with per-constraint verdicts and score deltas; the result
+        serializes to JSON (``repro explain`` renders saved artifacts).
+        Built lazily and cached — the first call fixes ``top_k``.
         """
         if self._provenance is None:
             from ..observability.provenance import build_provenance
@@ -376,6 +377,11 @@ class GpuSession:
                 kernels=len(compiled.decisions),
                 degradations=len(compiled.degradations),
             )
+            if provenance_enabled():
+                try:
+                    compiled.provenance()
+                except ReproError:
+                    pass  # provenance is best-effort diagnostics
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("compile.runs").inc()
@@ -383,11 +389,6 @@ class GpuSession:
                 metrics.counter("resilience.degradation.activations").inc(
                     len(compiled.degradations)
                 )
-        if provenance_enabled():
-            try:
-                compiled.provenance()
-            except ReproError:
-                pass  # provenance is best-effort diagnostics
         return compiled
 
     def _compile(

@@ -40,7 +40,10 @@ from ..analysis.cache import get_autotune_cache, get_search_cache
 from ..ir.serialize import PIPELINE_VERSION
 
 #: Bumped on any incompatible memo-file change; the loader checks it.
-MEMO_VERSION = 1
+#: Version 2: search results carry their top-k ranking
+#: (``SearchResult.ranked``); version-1 files hold results without one
+#: and the keep-all lists provenance used to memoize.
+MEMO_VERSION = 2
 
 MEMO_FILENAME = "memo.pkl"
 
