@@ -1,16 +1,15 @@
-"""Search-scaling benchmark: reference vs pruned vs vectorized vs cached.
+"""Search-scaling benchmark: reference vs vectorized vs cached.
 
-Quantifies the staged search's three wins across nest depths 1-5 and two
+Quantifies the staged search's two wins across nest depths 1-5 and two
 block-size grids:
 
-* **pruning** — wall time and candidates-scored of the branch-and-bound
-  walk against the exhaustive reference (same winner, byte-identical);
-* **vectorization** — the NumPy batch engine evaluating the whole
-  candidate matrix at once (byte-identical again), which is what makes
-  depth-5 sweeps tractable — the exhaustive reference is skipped there
-  (minutes per run);
-* **memoization** — the cross-sweep cache hit rate when a shape sweep
-  re-decides mappings for unchanged kernels.
+* **vectorization** — wall time of the NumPy batch engine evaluating the
+  whole candidate matrix at once against the exhaustive reference loop
+  (same winner, byte-identical), which is what makes depth-5 sweeps
+  tractable; the reference runs at every depth as the oracle;
+* **memoization** — a memo hit on the default engine, and the
+  cross-sweep cache hit rate when a shape sweep re-decides mappings for
+  unchanged kernels.
 
 Rows are written to ``BENCH_search_scaling.json`` at the repo root (same
 one-row-per-measurement layout as the other ``BENCH_*`` artifacts).  Run
@@ -38,19 +37,19 @@ from repro.ir.builder import range_map
 
 _OUT = Path(__file__).resolve().parents[1] / "BENCH_search_scaling.json"
 
-#: Depth-3 speedup the pruned walk must deliver on the default grid.
+#: Depth-3 default-grid speedup the vectorized engine must deliver over
+#: the exhaustive reference (cold, uncached).
 MIN_SPEEDUP_DEPTH3 = 5.0
 #: Depth-4 default-grid speedup the vectorized engine must hold over the
-#: pruned walk (cold, uncached).  The engine measures >10x on the
-#: benchmark machines; the gate leaves headroom for noisy runners.
-MIN_VEC_SPEEDUP_DEPTH4 = 5.0
+#: reference (cold, uncached).  The engine measures ~590x on a 2-core
+#: host; the gate leaves headroom for noisy runners.
+MIN_VEC_SPEEDUP_DEPTH4 = 200.0
 #: Hit rate the memo must reach on a sweep of unchanged kernels.
 MIN_HIT_RATE = 0.90
-#: The exhaustive reference is skipped at and beyond this depth (it
-#: needs minutes per run there; the vectorized engine is the practical
-#: oracle proxy, and its byte-identity to the reference is test-enforced
-#: through depth 5 in tests/analysis/test_search_engines.py).
-REFERENCE_MAX_DEPTH = 4
+#: The exhaustive reference runs up to this depth (every depth of
+#: DEPTH_CASES), so every vectorized row is checked against the oracle.
+#: Depth 5 costs ~25 s on the default grid and ~5 s on the coarse one.
+REFERENCE_MAX_DEPTH = 5
 
 
 def _make_scale():
@@ -147,17 +146,19 @@ GRIDS = {
 }
 
 
-def _time_best(fn, repeats: int) -> float:
+def _time_best(fn, repeats: int):
+    """Best wall time over ``repeats`` calls (ms), and the last result."""
     best = float("inf")
+    result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        fn()
+        result = fn()
         best = min(best, time.perf_counter() - start)
-    return best * 1e3
+    return best * 1e3, result
 
 
 def run_scaling() -> List[Dict]:
-    """Reference / pruned / vectorized / cached rows per (depth, grid)."""
+    """Reference / vectorized / cached rows per (depth, grid)."""
     rows: List[Dict] = []
     for depth, (make, sizes) in sorted(DEPTH_CASES.items()):
         ka = analyze_program(make(), **sizes).kernel(0)
@@ -165,46 +166,39 @@ def run_scaling() -> List[Dict]:
         for grid_name, grid in GRIDS.items():
             ref = ref_ms = None
             if depth <= REFERENCE_MAX_DEPTH:
-                ref = search_mapping_reference(*args, block_sizes=grid)
-                ref_ms = _time_best(
+                ref_ms, ref = _time_best(
                     lambda: search_mapping_reference(*args, block_sizes=grid),
                     repeats=1 if depth >= 3 else 3,
                 )
 
             clear_caches()
-            pruned = search_mapping(*args, block_sizes=grid, engine="pruned")
-            vectorized = search_mapping(
-                *args, block_sizes=grid, use_cache=False, engine="vectorized"
-            )
-            oracle = ref if ref is not None else pruned
-            for engine_result in (pruned, vectorized):
-                assert engine_result.mapping == oracle.mapping, (
-                    depth, grid_name, engine_result.strategy,
-                )
-                assert engine_result.score == oracle.score
-                assert engine_result.candidates_total == oracle.candidates_total
-                assert (engine_result.candidates_feasible
-                        == oracle.candidates_feasible)
-            pruned_ms = _time_best(
-                lambda: search_mapping(*args, block_sizes=grid,
-                                       use_cache=False, engine="pruned"),
-                repeats=3,
-            )
-            vec_ms = _time_best(
+            vec_ms, vectorized = _time_best(
                 lambda: search_mapping(*args, block_sizes=grid,
                                        use_cache=False, engine="vectorized"),
                 repeats=3,
             )
-            cached_ms = _time_best(
-                lambda: search_mapping(*args, block_sizes=grid,
-                                       engine="pruned"),
-                repeats=3,
+            assert vectorized.strategy == "vectorized"
+            # The default engine's first call records the memo entry the
+            # cached row then serves.
+            warm = search_mapping(*args, block_sizes=grid)
+            cached_ms, cached = _time_best(
+                lambda: search_mapping(*args, block_sizes=grid), repeats=3,
             )
+            assert cached.cache_hit
+            if ref is not None:
+                for engine_result in (vectorized, warm):
+                    assert engine_result.mapping == ref.mapping, (
+                        depth, grid_name, engine_result.strategy,
+                    )
+                    assert engine_result.score == ref.score
+                    assert (engine_result.candidates_total
+                            == ref.candidates_total)
+                    assert (engine_result.candidates_feasible
+                            == ref.candidates_feasible)
 
             measured = [
-                ("pruned", pruned_ms, pruned),
                 ("vectorized", vec_ms, vectorized),
-                ("cached", cached_ms, pruned),
+                ("cached", cached_ms, warm),
             ]
             if ref is not None:
                 measured.insert(0, ("reference", ref_ms, ref))
@@ -219,16 +213,12 @@ def run_scaling() -> List[Dict]:
                         round(ref_ms / wall_ms, 2)
                         if ref_ms is not None and wall_ms else None
                     ),
-                    speedup_vs_pruned=(
-                        round(pruned_ms / wall_ms, 2) if wall_ms else None
-                    ),
                     candidates_total=result.candidates_total,
                     candidates_feasible=result.candidates_feasible,
                     candidates_scored=(
                         0 if strategy == "cached"
                         else result.candidates_scored
                     ),
-                    nodes_pruned=result.nodes_pruned,
                     batch_shape=(
                         list(result.batch_shape)
                         if getattr(result, "batch_shape", None) is not None
@@ -271,15 +261,11 @@ def _wall_by_key(rows: List[Dict]) -> Dict:
     }
 
 
-def _depth3_speedup(rows: List[Dict]) -> float:
+def _vec_speedup(rows: List[Dict], depth: int) -> float:
+    """Reference over vectorized wall time on the default grid."""
     by_key = _wall_by_key(rows)
-    return by_key[(3, "default", "reference")] / by_key[(3, "default", "pruned")]
-
-
-def _depth4_vec_speedup(rows: List[Dict]) -> float:
-    by_key = _wall_by_key(rows)
-    return (by_key[(4, "default", "pruned")]
-            / by_key[(4, "default", "vectorized")])
+    return (by_key[(depth, "default", "reference")]
+            / by_key[(depth, "default", "vectorized")])
 
 
 def _write(rows: List[Dict], sweep: Dict) -> None:
@@ -292,8 +278,8 @@ def test_bench_search_scaling_and_cache():
     sweep = run_cache_sweep()
     _write(rows, sweep)
 
-    speedup = _depth3_speedup(rows)
-    vec_speedup = _depth4_vec_speedup(rows)
+    speedup = _vec_speedup(rows, 3)
+    vec_speedup = _vec_speedup(rows, 4)
     print()
     for row in rows:
         print(
@@ -302,9 +288,9 @@ def test_bench_search_scaling_and_cache():
             f"  scored {row['candidates_scored']:>7}"
             f" / {row['candidates_total']:>7}"
         )
-    print(f"depth-3 default-grid speedup: {speedup:.1f}x "
+    print(f"depth-3 default-grid vectorized-vs-reference: {speedup:.1f}x "
           f"(floor {MIN_SPEEDUP_DEPTH3}x)")
-    print(f"depth-4 default-grid vectorized-vs-pruned: {vec_speedup:.1f}x "
+    print(f"depth-4 default-grid vectorized-vs-reference: {vec_speedup:.1f}x "
           f"(floor {MIN_VEC_SPEEDUP_DEPTH4}x)")
     print(f"cache sweep hit rate: {sweep['hit_rate']:.1%} "
           f"(floor {MIN_HIT_RATE:.0%})")

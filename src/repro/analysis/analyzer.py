@@ -60,8 +60,8 @@ class KernelAnalysis:
 
         The staged search memoizes whole results, so shape sweeps and
         repeated kernels return instantly (``use_cache=False`` forces a
-        fresh walk; the result is identical either way).  ``budget``
-        bounds the walk; on exhaustion the result degrades to the
+        fresh search; the result is identical either way).  ``budget``
+        bounds the search; on exhaustion the result degrades to the
         conservative fallback mapping.  ``engine`` forces a search
         engine (``None`` defers to ``REPRO_SEARCH_ENGINE`` / auto).
         """

@@ -108,11 +108,7 @@ def render_telemetry(result: SearchResult) -> List[str]:
             f"candidates: {data['candidates_total']} enumerated, "
             f"{data['candidates_feasible']} feasible"
         ),
-        (
-            f"work: {data['candidates_scored']} scored, "
-            f"{data['candidates_skipped']} skipped via "
-            f"{data['nodes_pruned']} pruned subtrees"
-        ),
+        f"work: {data['candidates_scored']} scored",
         f"wall time: {data['elapsed_ms']:.3g} ms"
         + (" (original search; cache lookup was ~free)"
            if data["cache_hit"] else ""),

@@ -1,4 +1,4 @@
-"""Mapping search (Algorithm 1 of the paper), staged and pruned.
+"""Mapping search (Algorithm 1 of the paper), staged and memoized.
 
 Candidates are the cross product, per nest level, of
 
@@ -14,46 +14,34 @@ seeded reservoir sample over the tied candidates (the paper picks
 randomly; seeding keeps runs reproducible, and reservoir sampling keeps
 the pick uniform however many candidates tie).
 
-Every engine that scores each feasible candidate also ranks them as it
-goes: :attr:`SearchResult.ranked` holds the best
+Both engines score every feasible candidate and rank them as they go:
+:attr:`SearchResult.ranked` holds the best
 :data:`~repro.config.SEARCH_RANKED_TOP_K` in provenance order
 (:func:`candidate_rank_key`, with the picked candidate first), so mapping
-provenance reads its ranking off the compile's own search instead of
-re-running it with ``keep_all``.
+provenance reads its ranking off the compile's own search.
 
-Three engines share that contract:
+Two engines share that contract:
 
 * :func:`search_mapping_reference` — the original exhaustive loop.  It
   enumerates every structurally valid candidate and calls every
   constraint's ``satisfied_by`` per candidate.  Retained as the oracle
-  for equivalence tests, and dispatched directly for tiny candidate
-  spaces where any staging overhead exceeds the walk.
-* the pruned walk (:func:`_search_pruned`) — constraint satisfaction is
-  precomputed into per-``(level, dim, block_size, span)`` tables
-  (:mod:`repro.analysis.tables`); enumeration is a level-by-level
-  branch-and-bound walk that discards subtrees which violate a hard
-  constraint or whose optimistic score cannot reach the incumbent
-  (candidate counts for skipped subtrees are reconstructed exactly by a
-  small counting DP, so the telemetry matches the reference).
+  for equivalence tests, dispatched directly for tiny candidate spaces
+  where any staging overhead exceeds the loop, and the only engine that
+  can evaluate opaque constraints (those without a batch predicate).
 * the vectorized batch engine (:mod:`repro.analysis.vectorized`) — the
   whole candidate space as integer-coded NumPy matrices, every
   constraint one vectorized predicate, the tie-break replayed from a
-  packed prefix-maximum.  Fastest for exhaustive (cold) searches over
-  deep nests; declines constraint sets without batch predicates.
+  packed prefix-maximum.  Serves every batch-capable constraint set.
 
-:func:`search_mapping` is the staged, memoized pipeline over all three:
-memo lookup, then engine selection (``engine="auto"`` picks by
-enumerated candidate count — tiny spaces take the plain loop, large
-batch-supported spaces the vectorized engine, everything else the
-pruned walk; ``REPRO_SEARCH_ENGINE`` or the ``engine=`` argument force
-one), with graceful fallback when a forced engine cannot run.  All
-engines return byte-identical results.
-
-Equivalence rests on two invariants: every engine visits (or accounts
-for) candidates in the reference's enumeration order, and pruning is
-*strict* — only subtrees whose best possible score is strictly below the
-incumbent are skipped, so every potential tie still reaches the
-reservoir sampler and consumes the same random draws.
+:func:`search_mapping` is the staged, memoized pipeline over both: memo
+lookup, then engine selection (``engine="auto"`` picks by enumerated
+candidate count — tiny spaces take the plain loop, larger batch-capable
+spaces the vectorized engine, opaque constraint sets the loop;
+``REPRO_SEARCH_ENGINE`` or the ``engine=`` argument force one), with
+graceful fallback when a forced engine cannot run.  Both engines return
+byte-identical results: each accounts for candidates in the reference's
+enumeration order, so every tie reaches the reservoir sampler and
+consumes the same random draws.
 """
 
 from __future__ import annotations
@@ -77,7 +65,7 @@ from ..config import (
     TIE_BREAK_SEED,
 )
 from ..errors import ReproError, SearchError
-from ..observability import get_metrics, get_tracer, instrumented_stage
+from ..observability import get_metrics, instrumented_stage
 from ..resilience.budget import Budget
 from ..resilience.faults import maybe_inject
 from .cache import get_search_cache, search_cache_key
@@ -85,11 +73,11 @@ from .constraints import ConstraintSet
 from .dop import DopWindow, control_dop
 from .mapping import DIM_MAX_THREADS, Dim, LevelMapping, Mapping, seq_level
 from .scoring import ScoredMapping, hard_feasible, score_mapping
-from .tables import ConstraintTables, batch_supported, span_options_for_levels
+from .tables import batch_supported, span_options_for_levels
 
 
 class _BudgetStop(Exception):
-    """Internal: unwinds the candidate walk when the budget runs out."""
+    """Internal: unwinds the candidate loop when the budget runs out."""
 
 
 @dataclass
@@ -101,37 +89,32 @@ class SearchResult:
     dop: int
     candidates_total: int
     candidates_feasible: int
+    #: The path that produced this result: "exhaustive", "vectorized",
+    #: "reference", "reference-fallback" (opaque constraints), or
+    #: "fallback" (budget exhausted / absorbed fault).
+    strategy: str
     #: Every feasible candidate with its score (populated only when
     #: ``keep_all=True``; used by the Fig. 17 scatter experiment).
     all_scored: List[ScoredMapping] = field(default_factory=list)
     #: The best ``SEARCH_RANKED_TOP_K`` feasible candidates in provenance
     #: order (:func:`candidate_rank_key`, the picked candidate first),
-    #: at analysis sizes and before ControlDOP.  ``None`` when the engine
-    #: did not score every feasible candidate (the pruned walk without
-    #: ``keep_all``, a degraded fallback).
+    #: at analysis sizes and before ControlDOP.  ``None`` for a degraded
+    #: fallback, which scored nothing.
     ranked: Optional[List[ScoredMapping]] = None
     # -- search telemetry ------------------------------------------------
-    #: Candidates whose score was individually evaluated.
+    #: Candidates whose score was evaluated.
     candidates_scored: int = 0
-    #: Candidates accounted for without individual evaluation (their
-    #: subtree was pruned by a hard violation or the score bound).
-    candidates_skipped: int = 0
-    #: Tree nodes cut by branch-and-bound (each covers many candidates).
-    nodes_pruned: int = 0
     #: True when this result was served from the cross-sweep memo.
     cache_hit: bool = False
     #: Wall time of the search that produced this result.
     elapsed_ms: float = 0.0
-    #: "pruned", "reference", "reference-fallback" (opaque constraints),
-    #: or "fallback" (budget exhausted / absorbed fault).
-    strategy: str = "pruned"
     #: True when the search gave up and returned the conservative
     #: fallback mapping instead of the Algorithm 1 winner.
     degraded: bool = False
     #: Why the search degraded (empty for full-fidelity results).
     degraded_reason: str = ""
     #: ``(rows, levels)`` of the candidate matrix when the vectorized
-    #: engine ran; None for the walking engines.
+    #: engine ran; None for the exhaustive loop.
     batch_shape: Optional[Tuple[int, int]] = None
 
     def telemetry(self) -> dict:
@@ -149,8 +132,6 @@ class SearchResult:
             "candidates_total": self.candidates_total,
             "candidates_feasible": self.candidates_feasible,
             "candidates_scored": self.candidates_scored,
-            "candidates_skipped": self.candidates_skipped,
-            "nodes_pruned": self.nodes_pruned,
             "elapsed_ms": self.elapsed_ms,
             "degraded": self.degraded,
             # getattr: results unpickled from artifacts written before the
@@ -202,10 +183,9 @@ def count_candidates(
 ) -> int:
     """Exact size of the enumerated candidate space, without enumerating.
 
-    The same counting DP the pruned walk uses for skipped subtrees,
-    summed over every dimension permutation: structurally valid block
-    size tuples (per-dim caps, per-block product cap) times the span
-    combinations.  Auto engine selection reads this to route tiny spaces
+    A small counting DP per dimension permutation: structurally valid
+    block size tuples (per-dim caps, per-block product cap) times the
+    span combinations.  Auto engine selection reads this to route tiny spaces
     to the plain exhaustive loop, whose fixed costs are the lowest.
     """
     block_sizes = tuple(block_sizes)
@@ -273,9 +253,10 @@ def enumerate_candidates(
 class _Incumbent:
     """Best-so-far state with the reservoir tie-break.
 
-    Both search implementations route every feasible candidate through
-    :meth:`decide`, in the same enumeration order, so the sequence of
-    random draws — and therefore the winner — is identical between them.
+    The exhaustive loop routes every feasible candidate through
+    :meth:`decide` in enumeration order; the vectorized engine replays
+    the same sequence of random draws from its packed keys, so the
+    winner is identical between them.
 
     The deterministic tie-break chain is score, then DOP, then
     lexicographically larger per-level block sizes (outermost level
@@ -340,17 +321,6 @@ def winner_first(
     return [winner] + rest[: len(ranked) - 1]
 
 
-def _cannot_reach(bound: float, best: float) -> bool:
-    """Float-safe strict comparison for pruning.
-
-    The optimistic bound is assembled with plain additions while true
-    scores use exact ``fsum``; the slack keeps a bound that merely
-    *rounds* below the incumbent from pruning a genuine tie (which would
-    desynchronize the reservoir sampler from the reference).
-    """
-    return bound < best - (abs(best) * 1e-12 + 1e-12)
-
-
 def _validate(num_levels: int, sizes: Sequence[int]) -> Tuple[int, ...]:
     sizes_t = tuple(sizes)
     if len(sizes_t) != num_levels:
@@ -368,24 +338,13 @@ def _finish(
     total: int,
     feasible: int,
     all_scored: List[ScoredMapping],
-    scored: int,
-    skipped: int,
-    nodes_pruned: int,
+    ranked: List[ScoredMapping],
     strategy: str,
-    ranked: Optional[List[ScoredMapping]] = None,
 ) -> SearchResult:
+    """Apply ControlDOP to the pick.  Both engines score every one of
+    the ``total`` candidates they enumerate."""
     if inc.mapping is None:
         raise SearchError("no feasible mapping satisfies the hard constraints")
-    if ranked is None and all_scored:
-        # The pruned walk ranks nothing while it prunes; under keep_all
-        # it has every candidate, the pick among them by identity.
-        winner = next(sm for sm in all_scored if sm.mapping is inc.mapping)
-        ranked = winner_first(
-            heapq.nsmallest(
-                SEARCH_RANKED_TOP_K, all_scored, key=candidate_rank_key
-            ),
-            winner,
-        )
     adjusted = control_dop(inc.mapping, sizes_t, window, cset.span_all_levels())
     return SearchResult(
         mapping=adjusted,
@@ -395,9 +354,7 @@ def _finish(
         candidates_feasible=feasible,
         all_scored=all_scored,
         ranked=ranked,
-        candidates_scored=scored,
-        candidates_skipped=skipped,
-        nodes_pruned=nodes_pruned,
+        candidates_scored=total,
         strategy=strategy,
     )
 
@@ -448,8 +405,7 @@ def _search_exhaustive(
     )
     return _finish(
         inc, cset, sizes_t, window, total, feasible, all_scored,
-        scored=total, skipped=0, nodes_pruned=0, strategy=strategy,
-        ranked=winner_first(top, winner),
+        ranked=winner_first(top, winner), strategy=strategy,
     )
 
 
@@ -480,7 +436,6 @@ def _fallback_result(
         dop=mapping.dop(sizes_t),
         candidates_total=nodes,
         candidates_feasible=0,
-        candidates_skipped=nodes,
         strategy="fallback",
         degraded=True,
         degraded_reason=reason,
@@ -548,10 +503,6 @@ def _record_search_metrics(result: SearchResult) -> None:
         data["candidates_feasible"]
     )
     metrics.counter("search.candidates.scored").inc(data["candidates_scored"])
-    metrics.counter("search.candidates.skipped").inc(
-        data["candidates_skipped"]
-    )
-    metrics.counter("search.nodes.pruned").inc(data["nodes_pruned"])
     metrics.counter(f"search.strategy.{data['strategy']}").inc()
     metrics.histogram("search.elapsed_ms").observe(data["elapsed_ms"])
     if data["batch_shape"] is not None:
@@ -599,223 +550,6 @@ def search_mapping_reference(
     return result
 
 
-def _search_pruned(
-    num_levels: int,
-    cset: ConstraintSet,
-    sizes_t: Tuple[int, ...],
-    window: DopWindow,
-    block_sizes: Tuple[int, ...],
-    keep_all: bool,
-    seed: int,
-    tables: ConstraintTables,
-    budget: Optional[Budget] = None,
-) -> SearchResult:
-    """Branch-and-bound over the candidate tree using the tables."""
-    # ``budget`` here is the work budget; the walk's positional ``budget``
-    # parameter below is the remaining thread-block-size budget.
-    work_budget = budget
-    # Per-subtree visit/prune instants are high-volume, so they only fire
-    # for a detail-mode tracer (``repro trace --detail``); the flag is
-    # hoisted so the disabled cost inside the walk is one local check.
-    tracer = get_tracer()
-    emit_events = tracer.enabled and tracer.detail
-    rng = random.Random(seed)
-    inc = _Incumbent(rng)
-    dims = list(Dim)[:num_levels]
-    cells = tables.cells
-    span_counts = [len(opts) for opts in tables.span_options]
-    cross_opt = tables.cross_optimistic
-
-    total = 0
-    feasible = 0
-    scored = 0
-    skipped = 0
-    nodes_pruned = 0
-    all_scored: List[ScoredMapping] = []
-
-    # keep_all must retain every feasible candidate, so only subtrees with
-    # zero feasible candidates may be skipped; exact feasibility counting
-    # for bound-pruned subtrees additionally needs hard feasibility to
-    # factorize per level.
-    allow_bound_prune = tables.hard_level_only and not keep_all
-    allow_leaf_skip = not keep_all
-
-    chosen_cells: List = [None] * num_levels
-    chosen_sizes = [0] * num_levels
-
-    for dim_perm in itertools.permutations(dims, num_levels):
-        # Optimistic soft weight attainable by levels k.. for this
-        # dimension assignment (used in the branch-and-bound test).
-        suffix = [0.0] * (num_levels + 1)
-        for level in range(num_levels - 1, -1, -1):
-            suffix[level] = (
-                suffix[level + 1]
-                + tables.level_dim_max[(level, dim_perm[level])]
-            )
-
-        # Counting DP: candidates in the subtree of a size prefix, as the
-        # reference would have enumerated them.  Memoized per remaining
-        # block budget (a handful of values).
-        memo: dict = {}
-
-        def completions(k: int, budget: int) -> Tuple[int, int]:
-            """(total, hard-feasible) candidate counts over levels k.. ."""
-            if k == num_levels:
-                return (1, 1)
-            key = (k, budget)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            t_count = f_count = 0
-            dim = dim_perm[k]
-            cap = DIM_MAX_THREADS[dim]
-            for size in block_sizes:
-                if size > cap or size > budget:
-                    continue
-                sub_t, sub_f = completions(k + 1, budget // size)
-                t_count += sub_t * span_counts[k]
-                f_count += sub_f * cells[(k, dim, size)].feasible_spans
-            memo[key] = (t_count, f_count)
-            return (t_count, f_count)
-
-        def leaf(span_mult: int, feas_mult: int) -> None:
-            nonlocal total, feasible, scored, skipped, nodes_pruned
-            product = 1
-            for size in chosen_sizes:
-                product *= size
-            block_ok, block_w = tables.block_eval(product)
-            warp_ok, warp_w = tables.warp_eval(dim_perm, chosen_sizes)
-            if not (block_ok and warp_ok):
-                total += span_mult
-                skipped += span_mult
-                nodes_pruned += 1
-                if emit_events:
-                    tracer.instant(
-                        "search.prune", kind="block-infeasible",
-                        sizes=str(tuple(chosen_sizes)), candidates=span_mult,
-                    )
-                return
-            base_w = block_w + warp_w
-            wmax = math.fsum(base_w)
-            for cell in chosen_cells:
-                wmax += cell.max_weight
-            if allow_leaf_skip and _cannot_reach(wmax, inc.score):
-                total += span_mult
-                feasible += feas_mult
-                skipped += span_mult
-                nodes_pruned += 1
-                if emit_events:
-                    tracer.instant(
-                        "search.prune", kind="score-bound",
-                        sizes=str(tuple(chosen_sizes)), candidates=span_mult,
-                    )
-                return
-            sizes_key = tuple(chosen_sizes)
-            if emit_events:
-                tracer.instant(
-                    "search.visit", sizes=str(sizes_key),
-                    candidates=span_mult,
-                )
-            for combo in itertools.product(
-                *(cell.choices for cell in chosen_cells)
-            ):
-                if work_budget is not None and not work_budget.spend():
-                    raise _BudgetStop()
-                total += 1
-                scored += 1
-                if not all(ch.hard_ok for ch in combo):
-                    continue
-                feasible += 1
-                weights = base_w
-                dop = 1
-                for ch in combo:
-                    weights = weights + ch.weights
-                    dop *= ch.dop
-                score = math.fsum(weights)
-
-                def make_mapping(combo=combo) -> Mapping:
-                    return Mapping(
-                        tuple(
-                            LevelMapping(
-                                dim_perm[level],
-                                chosen_sizes[level],
-                                combo[level].span,
-                            )
-                            for level in range(num_levels)
-                        )
-                    )
-
-                if keep_all:
-                    mapping = make_mapping()
-                    all_scored.append(ScoredMapping(mapping, score, dop))
-                    if inc.decide(score, dop, sizes_key):
-                        inc.mapping = mapping
-                elif inc.decide(score, dop, sizes_key):
-                    inc.mapping = make_mapping()
-
-        def walk(
-            k: int, budget: int, opt_prefix: float,
-            span_mult: int, feas_mult: int,
-        ) -> None:
-            nonlocal total, feasible, skipped, nodes_pruned
-            if work_budget is not None and not work_budget.spend():
-                raise _BudgetStop()
-            if k == num_levels:
-                leaf(span_mult, feas_mult)
-                return
-            dim = dim_perm[k]
-            cap = DIM_MAX_THREADS[dim]
-            for size in block_sizes:
-                if size > cap or size > budget:
-                    continue
-                cell = cells[(k, dim, size)]
-                sub_mult = span_mult * span_counts[k]
-                if cell.feasible_spans == 0:
-                    # Level k violates a hard constraint for every span:
-                    # the whole subtree is infeasible.
-                    sub_t, _ = completions(k + 1, budget // size)
-                    count = sub_t * sub_mult
-                    total += count
-                    skipped += count
-                    nodes_pruned += 1
-                    if emit_events:
-                        tracer.instant(
-                            "search.prune", kind="hard-subtree",
-                            level=k, block_size=size, candidates=count,
-                        )
-                    continue
-                opt = opt_prefix + cell.max_weight
-                if allow_bound_prune and _cannot_reach(
-                    opt + suffix[k + 1] + cross_opt, inc.score
-                ):
-                    sub_t, sub_f = completions(k + 1, budget // size)
-                    total += sub_t * sub_mult
-                    feasible += sub_f * feas_mult * cell.feasible_spans
-                    skipped += sub_t * sub_mult
-                    nodes_pruned += 1
-                    if emit_events:
-                        tracer.instant(
-                            "search.prune", kind="bound-subtree",
-                            level=k, block_size=size,
-                            candidates=sub_t * sub_mult,
-                        )
-                    continue
-                chosen_cells[k] = cell
-                chosen_sizes[k] = size
-                walk(
-                    k + 1, budget // size, opt,
-                    sub_mult, feas_mult * cell.feasible_spans,
-                )
-
-        walk(0, MAX_BLOCK_SIZE, 0.0, 1, 1)
-
-    return _finish(
-        inc, cset, sizes_t, window, total, feasible, all_scored,
-        scored=scored, skipped=skipped, nodes_pruned=nodes_pruned,
-        strategy="pruned",
-    )
-
-
 def search_mapping(
     num_levels: int,
     cset: ConstraintSet,
@@ -831,8 +565,8 @@ def search_mapping(
     """Run Algorithm 1 and return the selected mapping.
 
     This is the staged pipeline: memo lookup, engine selection, then the
-    chosen engine (plain exhaustive loop, pruned tree walk, or the
-    vectorized batch engine).  Results are byte-identical to
+    chosen engine (plain exhaustive loop or the vectorized batch
+    engine).  Results are byte-identical to
     :func:`search_mapping_reference` whichever engine runs (asserted by
     ``tests/analysis/test_search_equivalence.py`` and
     ``tests/analysis/test_search_engines.py``).
@@ -853,10 +587,11 @@ def search_mapping(
             picks the cheapest engine for the space — the plain
             exhaustive loop below ``SEARCH_SMALL_SPACE_CANDIDATES``
             candidates, the vectorized batch engine when every
-            constraint has a batch predicate, the pruned walk otherwise.
-            ``"exhaustive"`` / ``"pruned"`` / ``"vectorized"`` force one;
-            a forced engine that cannot run the set falls back to the
-            next correct one rather than failing.
+            constraint has a batch predicate, the exhaustive loop
+            otherwise (``strategy="reference-fallback"``).
+            ``"exhaustive"`` / ``"vectorized"`` force one; a forced
+            vectorized search over an opaque constraint falls back to
+            the exhaustive loop rather than failing.
     """
     if window is None:
         window = DopWindow()
@@ -911,10 +646,9 @@ def search_mapping(
             budget, engine=engine,
         )
         # The one and only elapsed_ms assignment for a fresh result:
-        # pruned, reference-fallback, and budget-degraded paths all flow
-        # through here, so a budget-exhausted search reports the true wall
-        # time of this call exactly once (previously the early-exhausted
-        # return and the main exit each carried their own assignment).
+        # every engine, the reference fallback and the budget-degraded
+        # paths all flow through here, so a budget-exhausted search
+        # reports the true wall time of this call exactly once.
         result.elapsed_ms = (time.perf_counter() - start) * 1e3
         if cache is not None and key is not None and not result.degraded:
             # Degraded results are a budget artifact, not the true answer
@@ -947,27 +681,16 @@ def _search_fresh(
             budget=budget,
         )
 
-    if engine == "auto":
-        # Cheapest engine for the space: tiny spaces lose more to staging
-        # (tables, arrays) than the plain loop costs; large batch-capable
-        # spaces belong to the vectorized engine; the pruned walk covers
-        # the rest.  A detail-mode tracer wants the per-subtree
-        # visit/prune instants only the walk can emit, so it pins the
-        # walk rather than silently tracing nothing.
-        tracer = get_tracer()
-        if tracer.enabled and tracer.detail:
-            engine = "pruned"
-        elif (count_candidates(num_levels, cset, block_sizes)
-                <= SEARCH_SMALL_SPACE_CANDIDATES):
-            engine = "exhaustive"
-        elif batch_supported(cset):
-            engine = "vectorized"
-        else:
-            engine = "pruned"
-
     try:
-        # The exhaustive loop and the batch engine detect infeasibility
-        # and opacity themselves, so neither pays for constraint tables.
+        if engine == "auto":
+            # Cheapest engine for the space: tiny spaces lose more to
+            # staging the candidate arrays than the plain loop costs;
+            # larger batch-capable spaces belong to the vectorized engine.
+            if (count_candidates(num_levels, cset, block_sizes)
+                    <= SEARCH_SMALL_SPACE_CANDIDATES):
+                engine = "exhaustive"
+            elif batch_supported(cset):
+                engine = "vectorized"
         if engine == "exhaustive":
             return _search_exhaustive(
                 num_levels, cset, sizes_t, window, block_sizes, keep_all,
@@ -980,31 +703,12 @@ def _search_fresh(
                     keep_all, seed, budget=budget,
                 )
             except BatchUnsupported:
-                # Opaque constraint or int64 overflow: degrade to the
-                # walking engines below, which handle both.
                 pass
-
-        tables = ConstraintTables.build(
-            cset, num_levels, sizes_t, block_sizes
-        )
-        if tables.always_infeasible:
-            # A hard constraint no candidate can satisfy (the reference
-            # would enumerate everything and raise the same error).
-            raise SearchError(
-                "no feasible mapping satisfies the hard constraints"
-            )
-        if tables.has_opaque:
-            # Unknown constraint types: fall back to per-candidate
-            # evaluation (correct for any satisfied_by, just not
-            # table-accelerated).  This also guards a forced "pruned":
-            # the walk cannot evaluate opaque constraints at all.
-            return _search_exhaustive(
-                num_levels, cset, sizes_t, window, block_sizes, keep_all,
-                seed, strategy="reference-fallback", budget=budget,
-            )
-        return _search_pruned(
+        # An opaque constraint (no batch predicate): only per-candidate
+        # evaluation can score it.
+        return _search_exhaustive(
             num_levels, cset, sizes_t, window, block_sizes, keep_all,
-            seed, tables, budget=budget,
+            seed, strategy="reference-fallback", budget=budget,
         )
     except _BudgetStop:
         return _fallback_result(

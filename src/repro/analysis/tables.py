@@ -1,56 +1,26 @@
-"""Constraint classification and partial-satisfaction tables.
+"""Candidate-space helpers shared by the search engines.
 
-The brute-force search calls every constraint's ``satisfied_by`` on every
-candidate.  This module does that work once per :class:`ConstraintSet`
-instead: constraints are classified by their :meth:`footprint
-<repro.analysis.constraints.Constraint.footprint>` (single-level,
-block-product, warp-variance, or opaque), and for the single-level ones a
-table of per-``(level, dim, block_size, span)`` outcomes is precomputed.
-Scoring a candidate then reduces to table lookups plus one block-product
-and one warp evaluation per complete size assignment, which is what makes
-the branch-and-bound walk in :mod:`repro.analysis.search` cheap.
-
-All per-candidate scores are combined with :func:`math.fsum` so the sum is
-exact (order-independent): the staged search accumulates weights in a
-different order than the brute-force reference, and exactness is what
-keeps the two byte-identical, ties included.
+:func:`span_options_for_levels` fixes the per-level span choices both
+engines enumerate, and :func:`batch_supported` decides whether a
+constraint set can be evaluated by the vectorized batch engine.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from ..config import WARP_SIZE
-from .constraints import (
-    AvoidDivergence,
-    Constraint,
-    ConstraintSet,
-    has_batch_predicate,
-)
-from .mapping import (
-    DIM_MAX_THREADS,
-    Dim,
-    LevelMapping,
-    Mapping,
-    Span,
-    SpanAll,
-    SpanType,
-    seq_level,
-)
+from .constraints import ConstraintSet, has_batch_predicate
+from .mapping import Span, SpanAll, SpanType
 
 
 def batch_supported(cset: ConstraintSet) -> bool:
     """Can every constraint be evaluated as a vectorized batch predicate?
 
-    The third axis of the footprint classification: alongside *where* a
-    constraint reads (level/block/warp/opaque), each built-in constraint
-    declares *how* it can be evaluated over a whole candidate matrix
-    (:meth:`Constraint.batch_satisfied`).  The vectorized engine is only
-    eligible when every constraint — hard and soft — has a batch path;
-    one opaque constraint sends the search back to the walk, the same
-    containment rule the tables apply per family.
+    Each built-in constraint declares how it can be evaluated over a
+    whole candidate matrix (:meth:`Constraint.batch_satisfied`).  The
+    vectorized engine is only eligible when every constraint — hard and
+    soft — has a batch path; one opaque constraint sends the search to
+    the per-candidate exhaustive loop.
     """
     return all(has_batch_predicate(c) for c in cset.constraints)
 
@@ -62,7 +32,8 @@ def span_options_for_levels(
 
     Levels under a hard Span(all) requirement get ``(SpanAll(),)``; the
     rest get ``(Span(1), SpanAll())``.  Both the reference enumeration and
-    the staged walk read this so their candidate spaces stay identical.
+    the vectorized engine read this so their candidate spaces stay
+    identical.
     """
     span_all = cset.span_all_levels()
     options: List[Tuple[SpanType, ...]] = []
@@ -72,231 +43,3 @@ def span_options_for_levels(
         else:
             options.append((Span(1), SpanAll()))
     return tuple(options)
-
-
-@dataclass(frozen=True)
-class SpanChoice:
-    """One span option at a fixed (level, dim, block size)."""
-
-    span: SpanType
-    hard_ok: bool
-    #: Individual weights of the satisfied soft constraints at this level
-    #: (kept unsummed so the final score can be fsum'd exactly).
-    weights: Tuple[float, ...]
-    weight_sum: float
-    #: This level's factor of Mapping.dop at the analysis sizes.
-    dop: int
-
-
-@dataclass(frozen=True)
-class LevelCell:
-    """All span choices at one (level, dim, block size) grid point."""
-
-    choices: Tuple[SpanChoice, ...]
-    #: Max weight over hard-feasible choices (0.0 when none are feasible).
-    max_weight: float
-    #: Number of hard-feasible span choices.
-    feasible_spans: int
-
-
-def _probe(num_levels: int, level: int, lm: LevelMapping) -> Mapping:
-    """A mapping that exercises exactly one level (others sequential)."""
-    levels = [seq_level() for _ in range(num_levels)]
-    levels[level] = lm
-    return Mapping(tuple(levels))
-
-
-def _dop_factor(span: SpanType, block_size: int, size: int) -> int:
-    """One level's contribution to Mapping.dop (mirrors its formulas)."""
-    if isinstance(span, Span):
-        return max(1, math.ceil(size / span.n))
-    # SpanAll (Split/Seq never appear in the search's candidate space).
-    return min(block_size, max(1, size))
-
-
-class ConstraintTables:
-    """Precomputed satisfaction tables for one search invocation.
-
-    Build once per ``(cset, num_levels, sizes, block_sizes)``; the staged
-    search then walks the candidate tree consulting only these tables.
-    """
-
-    def __init__(
-        self,
-        cset: ConstraintSet,
-        num_levels: int,
-        sizes: Tuple[int, ...],
-        block_sizes: Tuple[int, ...],
-    ) -> None:
-        self.num_levels = num_levels
-        self.sizes = sizes
-        self.block_sizes = block_sizes
-        self.span_options = span_options_for_levels(cset, num_levels)
-
-        level_hard: List[List[Constraint]] = [[] for _ in range(num_levels)]
-        level_soft: List[List[Constraint]] = [[] for _ in range(num_levels)]
-        self.block_hard: List[Constraint] = []
-        self.block_soft: List[Constraint] = []
-        self.warp_hard: List[Constraint] = []
-        self.warp_soft: List[Constraint] = []
-        self.opaque: List[Constraint] = []
-        #: A hard constraint no candidate can satisfy (e.g. a Span(all)
-        #: requirement on a level beyond the nest depth).
-        self.always_infeasible = False
-
-        for c in cset.constraints:
-            fp = c.footprint()
-            if fp is None:
-                self.opaque.append(c)
-            elif fp[0] == "level":
-                if fp[1] >= num_levels:
-                    # Out-of-range levels are unsatisfiable for every
-                    # built-in constraint (satisfied_by returns False).
-                    if c.hard:
-                        self.always_infeasible = True
-                    continue
-                (level_hard if c.hard else level_soft)[fp[1]].append(c)
-            elif fp[0] == "block":
-                (self.block_hard if c.hard else self.block_soft).append(c)
-            elif fp[0] == "warp" and isinstance(c, AvoidDivergence):
-                (self.warp_hard if c.hard else self.warp_soft).append(c)
-            else:
-                self.opaque.append(c)
-
-        #: Bound pruning with combinatorial feasibility counting is only
-        #: exact when hard feasibility factorizes per level.
-        self.hard_level_only = (
-            not self.block_hard
-            and not self.warp_hard
-            and not any(c.hard for c in self.opaque)
-        )
-
-        #: Whether the vectorized batch engine can evaluate this set
-        #: (every constraint carries a ``batch_satisfied`` path).
-        self.batch_supported = batch_supported(cset)
-
-        # Per-(level, dim, size) cells.
-        self.cells: Dict[Tuple[int, Dim, int], LevelCell] = {}
-        self.level_dim_max: Dict[Tuple[int, Dim], float] = {}
-        dims = list(Dim)[:num_levels]
-        for level in range(num_levels):
-            size_hint = sizes[level] if level < len(sizes) else 1
-            for dim in dims:
-                cap = DIM_MAX_THREADS[dim]
-                dim_max = 0.0
-                for bsize in block_sizes:
-                    if bsize > cap:
-                        continue
-                    choices = []
-                    for span in self.span_options[level]:
-                        lm = LevelMapping(dim, bsize, span)
-                        probe = _probe(num_levels, level, lm)
-                        hard_ok = all(
-                            c.satisfied_by(probe, sizes)
-                            for c in level_hard[level]
-                        )
-                        weights = tuple(
-                            c.weight  # type: ignore[attr-defined]
-                            for c in level_soft[level]
-                            if c.satisfied_by(probe, sizes)
-                        )
-                        choices.append(
-                            SpanChoice(
-                                span=span,
-                                hard_ok=hard_ok,
-                                weights=weights,
-                                weight_sum=math.fsum(weights),
-                                dop=_dop_factor(span, bsize, size_hint),
-                            )
-                        )
-                    cell = LevelCell(
-                        choices=tuple(choices),
-                        max_weight=max(
-                            (ch.weight_sum for ch in choices if ch.hard_ok),
-                            default=0.0,
-                        ),
-                        feasible_spans=sum(
-                            1 for ch in choices if ch.hard_ok
-                        ),
-                    )
-                    self.cells[(level, dim, bsize)] = cell
-                    dim_max = max(dim_max, cell.max_weight)
-                self.level_dim_max[(level, dim)] = dim_max
-
-        #: Optimistic weight of everything not determined level-by-level.
-        self.cross_optimistic = math.fsum(
-            getattr(c, "weight", 0.0)
-            for c in self.block_soft + self.warp_soft
-        )
-        self._block_memo: Dict[int, Tuple[bool, Tuple[float, ...]]] = {}
-
-    @property
-    def has_opaque(self) -> bool:
-        return bool(self.opaque)
-
-    def block_eval(self, product: int) -> Tuple[bool, Tuple[float, ...]]:
-        """(hard ok, satisfied soft weights) for a threads-per-block value."""
-        cached = self._block_memo.get(product)
-        if cached is not None:
-            return cached
-        if not self.block_hard and not self.block_soft:
-            result = (True, ())
-        else:
-            probe = Mapping((LevelMapping(Dim.X, product, Span(1)),))
-            hard_ok = all(
-                c.satisfied_by(probe, self.sizes) for c in self.block_hard
-            )
-            weights = tuple(
-                c.weight  # type: ignore[attr-defined]
-                for c in self.block_soft
-                if c.satisfied_by(probe, self.sizes)
-            )
-            result = (hard_ok, weights)
-        self._block_memo[product] = result
-        return result
-
-    def warp_eval(
-        self, dims: Sequence[Dim], bsizes: Sequence[int]
-    ) -> Tuple[bool, Tuple[float, ...]]:
-        """(hard ok, satisfied soft weights) of the warp constraints.
-
-        ``dims``/``bsizes`` are the per-level assignments of a complete
-        size prefix; spans never matter (all search candidates are
-        parallel at every level).  Mirrors
-        :meth:`Mapping.varies_within_warp` — asserted equivalent in
-        ``tests/analysis/test_search_equivalence.py``.
-        """
-        if not self.warp_hard and not self.warp_soft:
-            return (True, ())
-        varies = [False] * self.num_levels
-        for level in range(self.num_levels):
-            if bsizes[level] <= 1:
-                continue
-            stride = 1
-            for other in range(self.num_levels):
-                if dims[other] < dims[level]:
-                    stride *= bsizes[other]
-            varies[level] = stride < WARP_SIZE
-        def satisfied(c: AvoidDivergence) -> bool:
-            return not any(
-                level < self.num_levels and varies[level]
-                for level in c.levels
-            )
-        hard_ok = all(satisfied(c) for c in self.warp_hard)  # type: ignore[arg-type]
-        weights = tuple(
-            c.weight  # type: ignore[attr-defined]
-            for c in self.warp_soft
-            if satisfied(c)  # type: ignore[arg-type]
-        )
-        return (hard_ok, weights)
-
-    @staticmethod
-    def build(
-        cset: ConstraintSet,
-        num_levels: int,
-        sizes: Sequence[int],
-        block_sizes: Sequence[int],
-    ) -> "ConstraintTables":
-        return ConstraintTables(
-            cset, num_levels, tuple(sizes), tuple(block_sizes)
-        )

@@ -1,9 +1,10 @@
 """Vectorized batch mapping search: the candidate space as NumPy arrays.
 
-The third search engine (after the exhaustive reference and the pruned
-branch-and-bound walk).  Instead of walking candidates one Python object
-at a time, it materializes the *whole* candidate space as integer-coded
-matrices — one row per candidate, one column per nest level, separate
+The search engine for every batch-capable constraint set (the exhaustive
+loop in :mod:`repro.analysis.search` stays the reference oracle).
+Instead of scoring candidates one Python object at a time, it
+materializes the *whole* candidate space as integer-coded matrices —
+one row per candidate, one column per nest level, separate
 arrays for the dimension assignment, the block size, and the span code —
 and evaluates every constraint once as a vectorized predicate over the
 full candidate matrix (:meth:`repro.analysis.constraints.Constraint.batch_satisfied`).
@@ -39,8 +40,8 @@ ordering, and the seeded tie-break.  Four mechanisms carry that:
   float dot product (which rounds per add).  Candidates are grouped by
   their satisfied-soft-constraint bit pattern (a ``bincount`` fold over
   the constraint columns) and each distinct pattern is summed once with
-  :func:`math.fsum` — the exact, order-independent sum both other
-  engines use, so equal weight sets give equal floats.
+  :func:`math.fsum` — the exact, order-independent sum the reference
+  uses, so equal weight sets give equal floats.
 * **Tie-break replay.**  The reference threads every feasible candidate
   through a stateful reservoir sampler whose random draws depend on the
   running incumbent.  The engine packs each candidate's
@@ -53,15 +54,15 @@ ordering, and the seeded tie-break.  Four mechanisms carry that:
   one.  The same keys give the provenance ranking: a partition for the
   top :data:`~repro.config.SEARCH_RANKED_TOP_K` plus a stable sort of
   those few rows, with :class:`Mapping` objects built for them alone.
-* **Overflow containment.**  DOP products are compared as int64; when
-  the worst-case product cannot fit, the engine declines
-  (:class:`BatchUnsupported`) and the caller falls back to the walk,
-  which compares arbitrary-precision Python ints.
+* **Exact DOP.**  DOP products are int64 while the worst-case product
+  fits; when it cannot, the small (grid row, span combo) DOP table holds
+  exact Python ints instead, and the packed key rank-compresses DOP, so
+  huge analysis sizes compare exactly as the reference's Python ints do.
 
 Eligibility: every constraint must carry a batch predicate
 (:func:`repro.analysis.tables.batch_supported`); opaque constraints or a
 ``batch_satisfied`` returning ``None`` raise :class:`BatchUnsupported`
-and the staged pipeline falls back exactly as it does for the tables.
+and the staged pipeline falls back to the exhaustive loop.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ from .scoring import ScoredMapping
 from .tables import span_options_for_levels
 
 #: int64 head-room bound for exact DOP / packed-key comparison; above
-#: this the engine declines rather than risk silent wrap-around.
+#: it DOP is kept as Python ints and rank-compressed before packing.
 _INT64_SAFE_BITS = 62
 
 #: Bin ceiling for one pattern-fold bincount chunk (2**16 int64 bins is
@@ -112,9 +113,10 @@ class BatchUnsupported(Exception):
     """The candidate space cannot be evaluated as a batch.
 
     Raised when a constraint lacks a batch predicate (or returns ``None``
-    at runtime) or when exact int64 DOP comparison could overflow.  The
-    staged pipeline catches this and falls back to the pruned walk — the
-    same containment the tables apply to opaque constraints.
+    at runtime), or when even the rank-compressed tie-break key cannot
+    fit int64.  The staged pipeline catches this and falls back to the
+    exhaustive loop, which evaluates each candidate with
+    ``satisfied_by``.
     """
 
 
@@ -563,25 +565,27 @@ def _dop_table(struct, sizes_t: Tuple[int, ...]) -> Tuple[np.ndarray, int]:
     Mirrors :meth:`Mapping.dop` for the search's span space: a Span(1)
     level contributes ``max(1, size)``, a Span(all) level
     ``min(block_size, max(1, size))``.  Computed on the factor tables —
-    a (G, T) product of L broadcasts — never per candidate.  ``struct``
-    is anything with ``grid_table``/``span_table`` (a structure or a
-    batch).
+    a (G, T) product of L broadcasts — never per candidate.  When the
+    bound overflows int64 the table holds exact Python ints
+    (``dtype=object``).  ``struct`` is anything with
+    ``grid_table``/``span_table`` (a structure or a batch).
     """
     bound = 1
     for size in sizes_t:
         bound *= max(1, size)
-    if bound.bit_length() >= _INT64_SAFE_BITS:
-        raise BatchUnsupported(
-            "DOP products exceed exact int64 range at these sizes"
-        )
+    exact = np.int64 if bound.bit_length() < _INT64_SAFE_BITS else object
     grid = struct.grid_table  # (G, L)
     span_table = struct.span_table  # (T, L)
-    table = np.ones((grid.shape[0], span_table.shape[0]), dtype=np.int64)
+    table = np.ones((grid.shape[0], span_table.shape[0]), dtype=exact)
     for lvl in range(len(sizes_t)):
         hint = max(1, sizes_t[lvl])
         span1 = span_table[:, lvl] == SPAN_CODE_SPAN1  # (T,)
-        capped = np.minimum(grid[:, lvl], hint)  # (G,)
-        table *= np.where(span1[None, :], hint, capped[:, None])
+        # Valid rows never hold a block size above MAX_BLOCK_SIZE, so
+        # capping the hint there keeps the minimum in int64 unchanged.
+        capped = np.minimum(grid[:, lvl], min(hint, MAX_BLOCK_SIZE))  # (G,)
+        table *= np.where(
+            span1[None, :], np.asarray(hint, dtype=exact), capped[:, None]
+        )
     return table, bound
 
 
@@ -619,7 +623,8 @@ def _packed_keys(
 
     Raw DOP values are packed directly when the per-component bounds
     fit in 62 bits together; otherwise DOP is rank-compressed first
-    (one sort of the feasible subset — the rare path).
+    (one sort of the feasible subset — the rare path, and the one that
+    turns an exact Python-int DOP table into int64 ranks).
     """
     bits = _key_bits(n_scores, dop_bound, code_bound)
     if bits is None:
@@ -993,8 +998,7 @@ def _search_vectorized(
     inc.score = picked.score
     result = _finish(
         inc, cset, sizes_t, window, total, n_feas, all_scored,
-        scored=total, skipped=0, nodes_pruned=0, strategy="vectorized",
-        ranked=ranked,
+        ranked=ranked, strategy="vectorized",
     )
     result.batch_shape = (total, num_levels)
     return result

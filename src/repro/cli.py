@@ -24,7 +24,7 @@ Commands
     cell degrades gracefully or fails typed-with-report.
 ``replay-failure FILE [FILE ...]``
     Re-execute the pipeline failures recorded in report artifacts.
-``trace <app> [k=v ...] [--detail] [-o FILE] [--provenance FILE]``
+``trace <app> [k=v ...] [-o FILE] [--provenance FILE]``
     Compile, cost-estimate, and run an app with tracing on; write a
     Chrome trace-event JSON (loadable in Perfetto / chrome://tracing)
     and optionally the mapping-provenance artifact.
@@ -331,7 +331,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     app = _resolve_app(args.app)
     sizes = _clamped_sizes(app, _parse_sizes(args.sizes))
-    with capture(detail=args.detail) as obs:
+    with capture() as obs:
         program = app.build()
         program = dataclasses.replace(
             program, size_hints={**(program.size_hints or {}), **sizes}
@@ -1409,9 +1409,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "(unspecified sizes are clamped to 64)")
     p_tr.add_argument("--strategy", default="multidim")
     p_tr.add_argument("--seed", type=int, default=0)
-    p_tr.add_argument("--detail", action="store_true",
-                      help="also record per-subtree search prune/visit "
-                      "events (high volume)")
     p_tr.add_argument("--no-run", action="store_true",
                       help="skip the functional interpreter run")
     p_tr.add_argument("-o", "--output", default="trace.json",

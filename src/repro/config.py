@@ -33,14 +33,13 @@ TIE_BREAK_SEED = 0x5EED
 
 # Mapping-search engine selection (``search_mapping``).  "auto" picks the
 # cheapest engine for the enumerated candidate count: below
-# SEARCH_SMALL_SPACE_CANDIDATES the plain exhaustive loop wins (the staged
-# machinery's fixed costs exceed the walk at depth 1); above it the
-# NumPy batch engine evaluates the whole candidate matrix at once,
-# falling back to the branch-and-bound walk for constraint sets without
-# a batch predicate.  Override per process with the environment variable
+# SEARCH_SMALL_SPACE_CANDIDATES the plain exhaustive loop wins (the batch
+# engine's fixed costs exceed the loop at depth 1); above it the NumPy
+# batch engine evaluates the whole candidate matrix at once, and
+# constraint sets without a batch predicate take the exhaustive loop.  Override per process with the environment variable
 # below or per call with ``search_mapping(engine=...)``.
 SEARCH_ENGINE_ENV = "REPRO_SEARCH_ENGINE"
-SEARCH_ENGINES = ("auto", "exhaustive", "pruned", "vectorized")
+SEARCH_ENGINES = ("auto", "exhaustive", "vectorized")
 SEARCH_SMALL_SPACE_CANDIDATES = 64
 
 # How many of the best feasible candidates a search ranks while it scores

@@ -2,9 +2,9 @@
 
 The registry is the single home for pipeline statistics that used to be
 scattered across ad-hoc fields: memo-cache hits/misses/evictions,
-branch-and-bound pruned-vs-visited counts, constraint counts by
-Hard/Soft x Local/Global class, fallback and retry activations, per-stage
-wall time, and cost-model component sums.
+search candidate counts, constraint counts by Hard/Soft x Local/Global
+class, fallback and retry activations, per-stage wall time, and
+cost-model component sums.
 
 Histogram buckets are fixed and deterministic (supplied at creation,
 never derived from the data), so two snapshots of the same workload are

@@ -6,15 +6,13 @@ with per-constraint verdicts and score deltas.  Serialized to JSON it
 lets ``repro explain <artifact>`` render the full rationale from a saved
 file instead of re-running the search.
 
-The candidate ranking comes from the compile's own search: every engine
-that scores each feasible candidate keeps the best
-:data:`~repro.config.SEARCH_RANKED_TOP_K` as it scores
+The candidate ranking comes from the compile's own search: both engines
+keep the best :data:`~repro.config.SEARCH_RANKED_TOP_K` as they score
 (:attr:`~repro.analysis.search.SearchResult.ranked`), so building the
-record runs no search.  Only the pruned walk cannot rank, because it
-prunes; it runs under ``repro trace --detail`` or when the batch engine
-declines on int64 overflow, and for those kernels (or a ``top_k`` above
-the kept ranking) the record re-ranks with a ``keep_all`` search inside a
-``provenance.rank`` span.  The record is built on demand — lazily
+record runs no search.  A kernel whose search left no ranking (a session
+fallback whose search raised) carries a "candidate ranking unavailable"
+note instead, and a ``top_k`` above the kept ranking is rejected with
+:class:`ValueError`.  The record is built on demand — lazily
 through :meth:`~repro.runtime.session.CompiledProgram.provenance`, or
 eagerly per compile when ``REPRO_PROVENANCE`` /
 ``configure(provenance=True)`` is set — under a ``provenance`` span.
@@ -26,7 +24,6 @@ free of analysis-layer imports.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 from dataclasses import dataclass, field
@@ -311,39 +308,24 @@ def _verdicts(cset, mapping, sizes_t: Tuple[int, ...]) -> List[VerdictRecord]:
     ]
 
 
-def _ranked_candidates(decision, device, top_k: int):
-    """The kernel's top ``top_k`` candidates, the search's pick first.
-
-    Read off the compile's own search when it ranked enough of them;
-    otherwise re-rank with a ``keep_all`` search (raises
-    :class:`~repro.errors.ReproError` when that search fails).
-    """
-    from ..analysis.search import candidate_rank_key, winner_first
-
-    search = decision.search
-    ranked = search.ranked if search is not None else None
-    if ranked is not None and (
-        top_k <= len(ranked) or len(ranked) == search.candidates_feasible
-    ):
-        return ranked[:top_k]
-    with get_tracer().span("provenance.rank", top_k=top_k):
-        full = decision.analysis.select_mapping(
-            window=device.dop_window(), keep_all=True
-        )
-    top = heapq.nsmallest(top_k, full.all_scored, key=candidate_rank_key)
-    # A degraded re-search has no candidates and no pick.
-    return winner_first(top, full.ranked[0] if full.ranked else None)
-
-
 def kernel_provenance(
     decision,
     index: int,
-    device,
     strategy,
     top_k: int = SEARCH_RANKED_TOP_K,
 ) -> KernelProvenance:
-    """Build the provenance record for one kernel decision."""
+    """Build the provenance record for one kernel decision.
+
+    Reads the ranking the kernel's own search kept; ``top_k`` may not
+    exceed :data:`~repro.config.SEARCH_RANKED_TOP_K`.
+    """
     from ..analysis.scoring import score_mapping
+
+    if top_k > SEARCH_RANKED_TOP_K:
+        raise ValueError(
+            f"top_k={top_k} exceeds the {SEARCH_RANKED_TOP_K} candidates "
+            "a search ranks (SEARCH_RANKED_TOP_K)"
+        )
 
     ka = decision.analysis
     cset = ka.constraints
@@ -381,14 +363,15 @@ def kernel_provenance(
         )
         return record
 
-    try:
-        ranked = _ranked_candidates(decision, device, top_k)
-    except ReproError as exc:
+    ranked = decision.search.ranked if decision.search is not None else None
+    if ranked is None:
+        # A session fallback: the search raised, so nothing was ranked.
         record.note = (
-            f"candidate ranking unavailable "
-            f"({type(exc).__name__}: {exc})"
+            "candidate ranking unavailable (the mapping search failed; "
+            "conservative fallback mapping substituted)"
         )
         return record
+    ranked = ranked[:top_k]
     best = ranked[0].score if ranked else (score or 0.0)
     record.candidates = [
         CandidateRecord(
@@ -424,8 +407,7 @@ def build_provenance(
             degradations=list(compiled.degradations),
             kernels=[
                 kernel_provenance(
-                    decision, index, compiled.device, compiled.strategy,
-                    top_k=top_k,
+                    decision, index, compiled.strategy, top_k=top_k,
                 )
                 for index, decision in enumerate(compiled.decisions)
             ],

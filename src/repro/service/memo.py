@@ -42,8 +42,10 @@ from ..ir.serialize import PIPELINE_VERSION
 #: Bumped on any incompatible memo-file change; the loader checks it.
 #: Version 2: search results carry their top-k ranking
 #: (``SearchResult.ranked``); version-1 files hold results without one
-#: and the keep-all lists provenance used to memoize.
-MEMO_VERSION = 2
+#: and the keep-all lists provenance used to memoize.  Version 3: search
+#: results no longer carry the retired branch-and-bound walk's two work
+#: counters (skipped candidates, pruned subtrees).
+MEMO_VERSION = 3
 
 MEMO_FILENAME = "memo.pkl"
 

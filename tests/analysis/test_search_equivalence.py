@@ -1,12 +1,13 @@
 """Equivalence of the staged search against the exhaustive reference.
 
-The pruned walk, the tables, and the memo are pure performance work: for
-any constraint set they must select the *byte-identical* winner — same
-mapping, same score, same DOP, same candidate counts — because the
-figure experiments and codegen snapshots depend on the exact choice
-(including the seeded tie-breaks).  These tests compare the two
-implementations across randomized constraint sets at depths 1-4 and over
-every bundled application kernel.
+Engine selection, the vectorized batch engine and the memo are pure
+performance work: for any constraint set they must select the
+*byte-identical* winner — same mapping, same score, same DOP, same
+candidate counts — because the figure experiments and codegen snapshots
+depend on the exact choice (including the seeded tie-breaks).  These
+tests compare the staged search with the reference across randomized
+constraint sets at depths 1-4, at analysis sizes whose DOP products
+overflow int64, and over every bundled application kernel.
 """
 
 import random
@@ -22,11 +23,10 @@ from repro.analysis.constraints import (
     NoWastedThreads,
     SpanAllRequired,
 )
-from repro.analysis.mapping import DIM_MAX_THREADS, Dim, Mapping
 from repro.analysis.search import search_mapping, search_mapping_reference
-from repro.analysis.tables import ConstraintTables
+from repro.analysis.vectorized import _mapping_for_row, materialize_candidates
 from repro.apps import ALL_APPS, merge_params
-from repro.config import MAX_BLOCK_SIZE, WARP_SIZE
+from repro.config import WARP_SIZE
 from repro.errors import SearchError
 
 #: Smaller grids keep the exhaustive oracle fast at depth >= 3.
@@ -36,6 +36,21 @@ GRID_BY_DEPTH = {
     3: (1, 8, 64, 512),
     4: (1, 32, 256),
 }
+
+#: Per-level analysis size whose depth-fold product overflows int64, so
+#: the batch engine must compare DOP as exact Python ints.
+OVERFLOW_SIZE_BY_DEPTH = {2: 2**32, 3: 2**22, 4: 2**17}
+
+
+def with_overflow_sizes(sizes, rng: random.Random, depth: int):
+    """Yield ``(sizes, False)``, then — at depths with an overflow size —
+    ``(overflow_sizes, True)``: odd multiples of that size, drawn from
+    ``rng``, so the DOP products overflow int64 and still differ."""
+    yield sizes, False
+    base = OVERFLOW_SIZE_BY_DEPTH.get(depth)
+    if base is not None:
+        yield [rng.choice([base, 3 * base, 7 * base])
+               for _ in range(depth)], True
 
 
 def random_cset(rng: random.Random, depth: int) -> ConstraintSet:
@@ -89,51 +104,62 @@ def assert_equivalent(ref, new, context=""):
 @pytest.mark.parametrize("trial_seed", [0, 1, 2])
 def test_randomized_equivalence(depth, trial_seed):
     rng = random.Random(1000 * depth + trial_seed)
+    overflow_rng = random.Random(-1000 * depth - trial_seed)
     grid = GRID_BY_DEPTH[depth]
     trials = 8 if depth <= 2 else 4
     for trial in range(trials):
         cset = random_cset(rng, depth)
-        sizes = [rng.choice([1, 7, 32, 100, 4096]) for _ in range(depth)]
+        drawn = [rng.choice([1, 7, 32, 100, 4096]) for _ in range(depth)]
         tie_seed = rng.randint(0, 10_000)
-        context = f"depth={depth} trial={trial} sizes={sizes}"
-        try:
-            ref = search_mapping_reference(
-                depth, cset, sizes, block_sizes=grid, seed=tie_seed,
-            )
-        except SearchError:
-            with pytest.raises(SearchError):
-                search_mapping(
+        for sizes, overflow in with_overflow_sizes(drawn, overflow_rng, depth):
+            context = f"depth={depth} trial={trial} sizes={sizes}"
+            try:
+                ref = search_mapping_reference(
                     depth, cset, sizes, block_sizes=grid, seed=tie_seed,
-                    use_cache=False,
                 )
-            continue
-        new = search_mapping(
-            depth, cset, sizes, block_sizes=grid, seed=tie_seed,
-            use_cache=False,
-        )
-        assert_equivalent(ref, new, context)
+            except SearchError:
+                with pytest.raises(SearchError):
+                    search_mapping(
+                        depth, cset, sizes, block_sizes=grid,
+                        seed=tie_seed, use_cache=False,
+                    )
+                continue
+            new = search_mapping(
+                depth, cset, sizes, block_sizes=grid, seed=tie_seed,
+                use_cache=False,
+            )
+            assert_equivalent(ref, new, context)
+            if overflow:
+                # The batch engine serves overflowing DOPs itself.
+                assert new.strategy == "vectorized", context
 
 
-@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("depth", [2, 3, 4])
 def test_keep_all_equivalence(depth):
     """keep_all must retain every feasible candidate in reference order."""
     rng = random.Random(depth)
+    overflow_rng = random.Random(-depth)
     grid = GRID_BY_DEPTH[max(depth, 3)]
     for trial in range(3):
         cset = random_cset(rng, depth)
-        sizes = [rng.choice([1, 32, 4096]) for _ in range(depth)]
-        try:
-            ref = search_mapping_reference(
+        drawn = [rng.choice([1, 32, 4096]) for _ in range(depth)]
+        for sizes, overflow in with_overflow_sizes(drawn, overflow_rng, depth):
+            context = f"depth={depth} trial={trial} sizes={sizes}"
+            try:
+                ref = search_mapping_reference(
+                    depth, cset, sizes, block_sizes=grid, keep_all=True,
+                )
+            except SearchError:
+                continue
+            new = search_mapping(
                 depth, cset, sizes, block_sizes=grid, keep_all=True,
+                use_cache=False,
             )
-        except SearchError:
-            continue
-        new = search_mapping(
-            depth, cset, sizes, block_sizes=grid, keep_all=True,
-            use_cache=False,
-        )
-        assert_equivalent(ref, new, f"depth={depth} trial={trial}")
-        assert new.all_scored == ref.all_scored
+            assert_equivalent(ref, new, context)
+            assert new.all_scored == ref.all_scored, context
+            assert new.ranked == ref.ranked, context
+            if overflow:
+                assert new.strategy == "vectorized", context
 
 
 def test_all_apps_equivalence():
@@ -164,36 +190,19 @@ def test_cached_result_identical():
 
 
 def test_warp_eval_matches_mapping():
-    """The tables' warp model must agree with Mapping.varies_within_warp."""
+    """The batch engine's warp model must agree with
+    Mapping.varies_within_warp on every candidate."""
     depth = 3
     cset = ConstraintSet()
-    cset.add(AvoidDivergence(
-        False, "global", "divergence", levels=(0, 1, 2), weight=1.0,
-    ))
-    sizes = (64, 64, 64)
     grid = (1, 2, 8, 32, 256)
-    tables = ConstraintTables.build(cset, depth, sizes, grid)
-    import itertools
-
-    for dim_perm in itertools.permutations(list(Dim)[:depth], depth):
-        for bsizes in itertools.product(grid, repeat=depth):
-            if any(s > DIM_MAX_THREADS[d] for d, s in zip(dim_perm, bsizes)):
-                continue
-            product = 1
-            for s in bsizes:
-                product *= s
-            if product > MAX_BLOCK_SIZE:
-                continue
-            from repro.analysis.mapping import LevelMapping, Span
-
-            mapping = Mapping(tuple(
-                LevelMapping(d, s, Span(1))
-                for d, s in zip(dim_perm, bsizes)
-            ))
-            expected = not any(
-                mapping.varies_within_warp(level, WARP_SIZE)
-                for level in range(depth)
-            )
-            ok, weights = tables.warp_eval(dim_perm, list(bsizes))
-            assert ok
-            assert (sum(weights) > 0) == expected, (dim_perm, bsizes)
+    batch, span_combos = materialize_candidates(
+        depth, cset, grid, sizes=(64, 64, 64)
+    )
+    assert len(batch) > 0
+    columns = [batch.warp_varies(level) for level in range(depth)]
+    for row in range(len(batch)):
+        mapping = _mapping_for_row(row, batch, span_combos)
+        for level in range(depth):
+            assert bool(columns[level][row]) == mapping.varies_within_warp(
+                level, WARP_SIZE
+            ), (str(mapping), level)

@@ -107,26 +107,6 @@ def test_ranked_matches_keep_all_oracle(engine, depth):
         _assert_ranked(kept, result.ranked, context + " keep_all")
 
 
-def test_pruned_walk_ranks_only_under_keep_all():
-    from repro.analysis.constraints import (
-        AvoidDivergence,
-        CoalesceDimX,
-        ConstraintSet,
-    )
-
-    cset = ConstraintSet()
-    cset.add(CoalesceDimX(False, "local", "c", level=2, weight=5.0))
-    cset.add(AvoidDivergence(False, "global", "d", levels=(0,), weight=1.0))
-    args = (3, cset, (64, 64, 4096))
-    pruned = search_mapping(*args, use_cache=False, engine="pruned")
-    assert pruned.strategy == "pruned"
-    assert pruned.ranked is None
-    kept = search_mapping(*args, use_cache=False, engine="pruned",
-                          keep_all=True)
-    _assert_ranked(kept, oracle_ranking(kept.all_scored, TIE_BREAK_SEED),
-                   "pruned keep_all")
-
-
 def test_exact_ties_put_the_pick_first():
     """An all-zero-weight space is one huge tie group; the seeded pick
     must still lead, whichever seed chose it."""

@@ -4,9 +4,8 @@
   the same searches over the same candidates and stores byte-identical
   artifacts.
 * A compile runs one search per searched kernel: provenance reads its
-  ranking off those searches.  Only the pruned walk (pinned by detail
-  tracing) cannot rank, and its keep-all re-rank runs inside
-  ``provenance.rank``.
+  ranking off those searches and never searches again, not even for a
+  kernel whose search failed.
 * Spans nest under the stage that caused them, and the direct children
   of ``compile`` add up to no more than ``compile``.
 """
@@ -20,6 +19,7 @@ from repro.analysis.cache import clear_caches
 from repro.apps import ALL_APPS, merge_params
 from repro.ir.serialize import canonicalize_program
 from repro.observability import capture
+from repro.resilience.faults import FaultPlan, inject_faults
 from repro.runtime.session import GpuSession
 from repro.service.store import build_artifact
 
@@ -105,7 +105,6 @@ def test_one_search_per_searched_kernel(name):
     assert compiled._provenance is not None  # built eagerly under capture
     counters = obs.metrics.to_dict()["counters"]
     assert counters["search.runs"] == _searched(compiled)
-    assert "provenance.rank" not in obs.tracer.span_names()
 
 
 def _spans(tracer):
@@ -153,31 +152,21 @@ def test_compile_children_fit_inside_compile(name):
     assert outside == []
 
 
-def test_pruned_walk_reranks_inside_provenance():
-    """Detail tracing pins the pruned walk, which cannot rank while it
-    prunes: provenance re-ranks with a keep-all search, and that search
-    nests under ``provenance.rank`` inside ``provenance`` inside
-    ``compile``."""
-    program = _program("msmbuilder")
-    with capture(detail=True) as obs:
-        compiled = _compile(program)
-    assert all(d.search.strategy == "pruned" for d in compiled.decisions)
-    spans = _spans(obs.tracer)
-    (compile_span,) = [s for s in spans if s["name"] == "compile"]
-    (provenance,) = [
-        s for s in _children(compile_span, spans) if s["name"] == "provenance"
-    ]
-    ranks = [s for s in _children(provenance, spans)
-             if s["name"] == "provenance.rank"]
-    assert len(ranks) == _searched(compiled)
-    for rank in ranks:
-        assert [s["name"] for s in _children(rank, spans)] == ["search"]
-    counters = obs.metrics.to_dict()["counters"]
-    assert counters["search.runs"] == 2 * _searched(compiled)
-    # The re-rank gives the same answer the batch engine's ranking does.
-    kernel = compiled.provenance().kernels[0]
-    clear_caches()
-    expected = _compile(program).provenance().kernels[0]
-    assert [c.mapping for c in kernel.candidates] == [
-        c.mapping for c in expected.candidates
-    ]
+def test_session_fallback_provenance_runs_no_search():
+    """A kernel whose search raised falls back without a ranking, and its
+    provenance record says so instead of searching again."""
+    program, sizes = _program("msmbuilder")
+    with capture(provenance=False) as obs:
+        with inject_faults(FaultPlan.single("search", "exception")):
+            compiled = GpuSession().compile(program, **sizes)
+        assert compiled.degraded
+        assert compiled.decisions[0].search is None
+
+        def runs():
+            return obs.metrics.to_dict()["counters"].get("search.runs", 0)
+
+        before = runs()
+        kernel = compiled.provenance().kernels[0]
+        assert runs() == before
+    assert "candidate ranking unavailable" in kernel.note
+    assert kernel.candidates == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import SEARCH_RANKED_TOP_K
 from repro.errors import ReproError
 from repro.observability.provenance import (
     PROVENANCE_VERSION,
@@ -34,7 +35,7 @@ class TestBuildProvenance:
         assert kernel.mapping == str(compiled.decisions[0].mapping)
         assert kernel.search is not None
         assert kernel.search["strategy"] in (
-            "vectorized", "pruned", "exhaustive", "reference-fallback"
+            "vectorized", "exhaustive", "reference-fallback"
         )
         assert kernel.verdicts
         # The chosen mapping satisfies every hard constraint.
@@ -54,6 +55,10 @@ class TestBuildProvenance:
                 kernel.candidates[0].score - cand.score
             )
             assert cand.verdicts
+
+    def test_top_k_beyond_the_search_ranking_rejected(self, compiled):
+        with pytest.raises(ValueError, match="SEARCH_RANKED_TOP_K"):
+            build_provenance(compiled, top_k=SEARCH_RANKED_TOP_K + 1)
 
     def test_session_provenance_is_lazy_and_cached(self, compiled):
         assert compiled._provenance is None
@@ -103,7 +108,7 @@ class TestSerialization:
         kernel = KernelProvenance(
             index=0, depth=2, level_sizes=[8, 8],
             mapping="L0[dimx, 32, span(1)]", score=1.5, max_score=2.0,
-            dop=64, search={"strategy": "pruned"},
+            dop=64, search={"strategy": "vectorized"},
             verdicts=[VerdictRecord("c", True, "local", True)],
         )
         assert KernelProvenance.from_dict(kernel.to_dict()) == kernel

@@ -49,24 +49,30 @@ class TestMemoPersistence:
     def test_version_one_memo_discarded(self, tmp_path):
         # Version-1 snapshots hold search results without their top-k
         # ranking, plus the keep-all lists provenance used to memoize;
-        # loading one must drop the file, not install its entries.
-        assert MEMO_VERSION == 2
+        # version-2 results still carry the retired walk's telemetry
+        # fields.  Loading either must drop the file, not install its
+        # entries.
+        assert MEMO_VERSION == 3
         search = get_search_cache()
-        search.clear()
-        payload = {
-            "version": 1,
-            "pipeline_version": PIPELINE_VERSION,
-            "search": [(("v1-entry",), "value")],
-            "autotune": [],
-        }
         path = memo_path(str(tmp_path))
-        path.write_bytes(pickle.dumps(payload))
-        try:
-            assert load_memo(str(tmp_path)) == {"search": 0, "autotune": 0}
-            assert not path.exists()
-            assert search.get(("v1-entry",)) is None
-        finally:
+        for version in (1, 2):
             search.clear()
+            key = (f"v{version}-entry",)
+            payload = {
+                "version": version,
+                "pipeline_version": PIPELINE_VERSION,
+                "search": [(key, "value")],
+                "autotune": [],
+            }
+            path.write_bytes(pickle.dumps(payload))
+            try:
+                assert load_memo(str(tmp_path)) == {
+                    "search": 0, "autotune": 0,
+                }
+                assert not path.exists()
+                assert search.get(key) is None
+            finally:
+                search.clear()
 
     def test_malicious_pickle_is_discarded_not_executed(self, tmp_path):
         # pickle.load resolves and calls arbitrary globals; the memo
