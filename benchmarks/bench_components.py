@@ -63,11 +63,11 @@ def test_bench_codegen(benchmark):
     """CUDA generation for a two-kernel program."""
     from repro.codegen import compile_program
     from repro.apps.gaussian import build_gaussian
+    from repro.runtime import GpuSession
 
     program = build_gaussian("R")
-    module = benchmark(
-        compile_program, program, "multidim", N=2048, T=0
-    )
+    decisions = GpuSession().compile(program, N=2048, T=0).decisions
+    module = benchmark(compile_program, program, decisions)
     assert len(module.kernels) == 2
 
 

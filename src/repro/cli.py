@@ -160,13 +160,19 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_cuda(args: argparse.Namespace) -> int:
-    from repro.codegen import compile_program, generate_host_driver
+    from repro.codegen import generate_host_driver
+    from repro.ir.serialize import canonicalize_program
+    from repro.runtime import GpuSession
 
     from repro.apps import merge_params
 
     app = _resolve_app(args.app)
     sizes = merge_params(app, _parse_sizes(args.sizes))
-    module = compile_program(app.build(), args.strategy, **sizes)
+    # The service's pipeline, binder names included: this prints the
+    # CUDA ``repro serve`` stores for the same request.
+    module = GpuSession(strategy=args.strategy).compile(
+        canonicalize_program(app.build()), **sizes
+    ).module
     source = (
         generate_host_driver(module, sizes) if args.host else module.source
     )

@@ -1,22 +1,24 @@
-"""Program-level compiler: IR -> analyzed, mapped, generated CUDA module.
+"""Program-level compiler: the session's kernel decisions -> a CUDA module.
 
 One kernel is generated per outermost pattern (the paper's one-to-one
-mapping), each with its own mapping decision.  The module also carries the
-device-function preamble and, for ``Split(k)`` mappings, combiner kernels.
+mapping), each from its :class:`~repro.gpusim.simulator.KernelDecision`:
+the decision's analysis and mapping are the ones the session searched,
+planned and prices, so nothing here re-analyzes or re-decides.  The
+module also carries the device-function preamble and, for ``Split(k)``
+mappings, combiner kernels.  Standalone callers compile through
+``GpuSession(strategy=..., flags=...).compile(program, **sizes).module``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.analyzer import analyze_program
-from ..analysis.mapping import Mapping
-from ..errors import CodegenError
 from ..ir.patterns import Program
 from .kernels import CompiledKernel, KernelGenerator, device_function_preamble
 
-Strategy = Union[str, Mapping]
+if TYPE_CHECKING:
+    from ..gpusim.simulator import KernelDecision
 
 
 @dataclass
@@ -40,45 +42,24 @@ class CompiledModule:
 
 def compile_program(
     program: Program,
-    strategy: Strategy = "multidim",
-    device=None,
+    decisions: Sequence["KernelDecision"],
     prealloc: bool = True,
     layout_strides: Optional[Dict[str, Tuple[str, ...]]] = None,
-    mappings: Optional[Sequence] = None,
-    **sizes: int,
 ) -> CompiledModule:
-    """Analyze, map, and generate CUDA for every kernel of a program.
-
-    ``mappings`` (one per kernel, in analysis order) bypasses the mapping
-    decision: the session passes its already-decided — possibly degraded —
-    mappings so the generated module always matches the launch decisions.
-    """
-    from ..gpusim.device import default_device
-    from ..gpusim.simulator import decide_mapping
+    """Generate CUDA for every kernel of a program, one per decision."""
     from ..observability import get_tracer, instrumented_stage
 
     tracer = get_tracer()
     with instrumented_stage("codegen", program=program.name) as scope:
-        span = scope.span
-        if device is None:
-            device = default_device()
-        pa = analyze_program(program, **sizes)
-        if mappings is not None and len(mappings) != len(pa.kernels):
-            raise CodegenError(
-                f"expected {len(pa.kernels)} mappings, got {len(mappings)}"
-            )
         module = CompiledModule(program=program)
         preambles = []
-        for index, ka in enumerate(pa.kernels):
-            if mappings is not None:
-                mapping = mappings[index]
-            else:
-                mapping = decide_mapping(ka, strategy, device).mapping
+        for index, decision in enumerate(decisions):
+            ka = decision.analysis
             name = f"{_sanitize(program.name)}_kernel{index}"
             with tracer.span("codegen.kernel", kernel=name):
                 generator = KernelGenerator(
                     ka,
-                    mapping,
+                    decision.mapping,
                     program,
                     kernel_name=name,
                     prealloc=prealloc,
@@ -89,7 +70,7 @@ def compile_program(
             if preamble and preamble not in preambles:
                 preambles.append(preamble)
         module.preamble = "\n".join(preambles)
-        span.set(kernels=len(module.kernels))
+        scope.span.set(kernels=len(module.kernels))
         return module
 
 

@@ -12,7 +12,8 @@ Each of the paper's mapping-coupled rewrites, reified:
 
 The default :func:`repro.optim.pipeline.build_plan` pipeline runs
 prealloc -> layout -> shared_memory (exactly the legacy fused sequence,
-byte-for-byte); ControlDOP stays a launch-time rewrite
+byte-for-byte); ControlDOP stays a launch-time rewrite for runtime
+sizes that differ from the compile's
 (:func:`repro.runtime.launcher.adjust_at_launch`) but participates in
 the pass-ordering search, where pulling it into the plan pipeline is a
 legitimate — and costed — alternative.
@@ -177,8 +178,9 @@ class ControlDopPass(Transformation):
         """The raw DOP rewrite, usable outside a plan pipeline.
 
         :func:`repro.runtime.launcher.adjust_at_launch` re-tunes against
-        runtime sizes through this same entry point, so compile-time and
-        launch-time ControlDOP cannot drift apart.
+        runtime sizes that differ from the compile's through this same
+        entry point, so compile-time and launch-time ControlDOP cannot
+        drift apart.
         """
         return control_dop(
             mapping, sizes, self.window(device), splittable_levels

@@ -99,11 +99,13 @@ def default_pipeline(flags: OptimizationFlags):
 
     Order is fixed (prealloc -> layout -> shared_memory, matching the
     legacy fused pipeline byte-for-byte); flags toggle passes without
-    reordering.  ControlDOP is deliberately absent: in production it is
-    a launch-time mapping rewrite
-    (:func:`repro.runtime.launcher.adjust_at_launch`), not a plan pass —
-    the pass-ordering tuner (:mod:`repro.optim.passes.tune`) is where
-    pulling it into the pipeline is explored.
+    reordering.  ControlDOP is deliberately absent: the search already
+    applied it to the decided mapping, and it re-runs only as the
+    launch-time rewrite for runtime sizes that differ from the
+    compile's (:func:`repro.runtime.launcher.adjust_at_launch`), not as
+    a plan pass — the pass-ordering tuner
+    (:mod:`repro.optim.passes.tune`) is where pulling it into the
+    pipeline is explored.
     """
     from .passes.library import LayoutPass, PreallocPass, SharedMemoryPass
 

@@ -5,6 +5,11 @@ assignment and span *kinds* — while block sizes and span/split *factors*
 are re-derived at launch from the actual sizes.  This is why Figure 17's
 skewed Mandelbrot still lands in the best-performance region: the static
 mapping was chosen at representative sizes, but the launch adapts.
+
+The re-tune runs only for runtime sizes that differ from the compile's,
+which callers pass to ``CompiledProgram.estimate_cost(**sizes)``; at the
+compile's own sizes (``estimate_cost()``) each kernel is priced exactly
+as decided.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ def adjust_at_launch(
     cset: ConstraintSet,
     sizes: Sequence[int],
     window: Optional[DopWindow] = None,
-    block_sizes: Sequence[int] = BLOCK_SIZE_CANDIDATES,
 ) -> Mapping:
     """Re-tune block sizes and span/split factors for the runtime sizes.
 
@@ -63,7 +67,9 @@ def adjust_at_launch(
     best_score = -1.0
     best_dop = -1
     best_tpb = -1
-    for combo in itertools.product(block_sizes, repeat=len(parallel_levels)):
+    for combo in itertools.product(
+        BLOCK_SIZE_CANDIDATES, repeat=len(parallel_levels)
+    ):
         levels: List[LevelMapping] = list(mapping.levels)
         product = 1
         valid = True

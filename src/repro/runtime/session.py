@@ -185,9 +185,13 @@ class CompiledProgram:
     ) -> ProgramCost:
         """Simulate execution time, optionally at different runtime sizes.
 
-        With ``dynamic_launch`` (the default) block sizes and span/split
-        factors are re-tuned per kernel for the actual sizes while keeping
-        the static dimension/span-kind decision, as in Section IV-D.
+        Without size overrides each kernel is priced as its decision —
+        the mapping and plan this compile ships.  Runtime ``sizes``
+        take the launch path of Section IV-D: with ``dynamic_launch``
+        (the default) block sizes and span/split factors are re-tuned
+        per kernel for those sizes while keeping the static
+        dimension/span-kind decision, and the plan is rebuilt for the
+        re-tuned mapping.
 
         With ``check=True`` a non-finite modeled cost raises a typed
         :class:`~repro.errors.SimulationError` (with failure report)
@@ -201,6 +205,9 @@ class CompiledProgram:
         for index, decision in enumerate(self.decisions):
             mapping = decision.mapping
             try:
+                if not sizes:
+                    result.kernels.append(decision.cost(self.device, env))
+                    continue
                 # Dynamic adjustment retunes what the MultiDim analysis
                 # left dynamic; fixed baseline strategies keep their
                 # defining block geometry (that rigidity is exactly what
@@ -300,10 +307,7 @@ class CompiledProgram:
             lines.append("### Simulated cost")
             lines.append("")
             lines.append("```")
-            cost = estimate_kernel_cost(
-                ka, decision.mapping, self.device, self.analysis.env,
-                decision.plan,
-            )
+            cost = decision.cost(self.device, self.analysis.env)
             lines.append(cost.describe())
             lines.append("```")
             lines.append("")
@@ -469,12 +473,7 @@ class GpuSession:
 
         try:
             module = compile_program(
-                program,
-                self.strategy,
-                device=self.device,
-                prealloc=self.flags.prealloc,
-                mappings=[d.mapping for d in decisions],
-                **size_hints,
+                program, decisions, prealloc=self.flags.prealloc
             )
         except ReproError as exc:
             fail(exc, "codegen")

@@ -4,6 +4,8 @@ For each of the 18 registered applications: the analysis runs, the chosen
 mapping is hard-feasible with DOP near the device window, the optimizer
 builds a plan, CUDA (kernel + host driver) generates, and the cost model
 returns a positive finite time — under both the MultiDim and 1D strategies.
+The MultiDim compile runs on both paper devices, and its compile-size
+estimate must price exactly the decisions it ships.
 """
 
 import math
@@ -14,35 +16,54 @@ import pytest
 from repro.analysis import analyze_program
 from repro.analysis.scoring import hard_feasible
 from repro.apps import ALL_APPS
-from repro.codegen import compile_program, generate_host_driver
-from repro.gpusim import TESLA_K20C, decide_mapping, estimate_kernel_cost
+from repro.codegen import generate_host_driver
+from repro.gpusim import (
+    TESLA_C2050,
+    TESLA_K20C,
+    decide_mapping,
+    estimate_kernel_cost,
+)
+from repro.runtime import GpuSession
 
 APP_NAMES = sorted(ALL_APPS)
 
 
-@pytest.mark.parametrize("name", APP_NAMES)
-def test_multidim_pipeline(name):
+#: Every app on both paper devices; the K20c cases keep the bare app name
+#: as their id.
+DEVICE_CASES = [
+    pytest.param(name, TESLA_K20C, id=name) for name in APP_NAMES
+] + [
+    pytest.param(name, TESLA_C2050, id=f"{name}-C2050") for name in APP_NAMES
+]
+
+
+@pytest.mark.parametrize("name, device", DEVICE_CASES)
+def test_multidim_pipeline(name, device):
     app = ALL_APPS[name]
     params = dict(app.default_params)
-    program = app.build()
-    pa = analyze_program(program, **params)
+    compiled = GpuSession(device=device).compile(app.build(), **params)
+    assert not compiled.degraded, name
+    estimate = compiled.estimate_cost()
+    assert len(estimate.kernels) == len(compiled.decisions), name
 
-    for ka in pa.kernels:
-        decision = decide_mapping(ka, "multidim", TESLA_K20C)
-        sizes = ka.level_sizes()
-        assert hard_feasible(decision.mapping, ka.constraints, sizes), name
+    for decision, cost in zip(compiled.decisions, estimate.kernels):
+        sizes = decision.analysis.level_sizes()
+        assert hard_feasible(
+            decision.mapping, decision.analysis.constraints, sizes
+        ), name
         dop = decision.mapping.dop(sizes)
         total = math.prod(sizes)
         # DOP is bounded by the domain and (modulo rounding and
         # single-shot ControlDOP) by the device window.
-        assert dop <= max(total, TESLA_K20C.min_dop * 2), name
-        cost = estimate_kernel_cost(
-            ka, decision.mapping, TESLA_K20C, pa.env, decision.plan
-        )
+        assert dop <= max(total, device.min_dop * 2), name
+        # The compile-size estimate prices the decision the artifact
+        # ships (its mapping and plan), not a re-tuned geometry.
+        shipped = decision.cost(device, compiled.analysis.env)
+        assert cost.total_us == shipped.total_us, name
         assert np.isfinite(cost.total_us) and cost.total_us > 0, name
 
-    module = compile_program(program, "multidim", **params)
-    assert module.source.count("__global__") >= len(pa.kernels), name
+    module = compiled.module
+    assert module.source.count("__global__") >= len(compiled.decisions), name
     host = generate_host_driver(module, params)
     assert "int main()" in host, name
 
@@ -59,8 +80,8 @@ def test_one_d_pipeline(name):
             ka, decision.mapping, TESLA_K20C, pa.env, decision.plan
         )
         assert np.isfinite(cost.total_us) and cost.total_us > 0, name
-    module = compile_program(program, "1d", **params)
-    assert "__global__" in module.source, name
+    compiled = GpuSession(strategy="1d").compile(program, **params)
+    assert "__global__" in compiled.cuda_source, name
 
 
 #: Single-level Filter/GroupBy apps: the analysis honors the paper's hard

@@ -56,13 +56,12 @@ class TestMapping:
         assert d.cost(TESLA_K20C, pa.env).atomic_us > 0
 
     def test_codegen_emits_atomics(self):
-        from repro.codegen import compile_program
+        from repro.runtime import GpuSession
 
-        filter_src = compile_program(
-            OUTLIER_FILTER.build(), "multidim", N=1 << 20
-        ).source
+        session = GpuSession()
+        filter_src = session.compile(
+            OUTLIER_FILTER.build(), N=1 << 20
+        ).cuda_source
         assert "atomicAdd(out_count" in filter_src
-        histo_src = compile_program(
-            HISTOGRAM.build(), "multidim", N=1 << 20
-        ).source
+        histo_src = session.compile(HISTOGRAM.build(), N=1 << 20).cuda_source
         assert "atomicAdd(&group_counts" in histo_src

@@ -2,12 +2,17 @@
 
 import pytest
 
-from repro.codegen import compile_program, generate_host_driver
+from repro.codegen import generate_host_driver
+from repro.runtime import GpuSession
 
 
-def driver_for(program, sizes, strategy="multidim", **compile_kwargs):
-    module = compile_program(program, strategy, **sizes, **compile_kwargs)
-    return generate_host_driver(module, sizes)
+def compile_module(program, strategy="multidim", **sizes):
+    """The CUDA module a session compile emits for ``program``."""
+    return GpuSession(strategy=strategy).compile(program, **sizes).module
+
+
+def driver_for(program, sizes):
+    return generate_host_driver(compile_module(program, **sizes), sizes)
 
 
 class TestHostDriver:
@@ -52,7 +57,7 @@ class TestHostDriver:
                 LevelMapping(Dim.X, 256, Split(4)),
             )
         )
-        module = compile_program(program, split_mapping, R=64, C=100000)
+        module = compile_module(program, split_mapping, R=64, C=100000)
         src = generate_host_driver(module, {"R": 64, "C": 100000})
         assert "d_partials_" in src
         assert "_combine<<<" in src
@@ -60,9 +65,7 @@ class TestHostDriver:
     def test_struct_fields_flattened(self):
         from repro.apps.pagerank import build_pagerank
 
-        module = compile_program(
-            build_pagerank(), "multidim", N=1024, E=16384
-        )
+        module = compile_module(build_pagerank(), N=1024, E=16384)
         src = generate_host_driver(module, {"N": 1024, "E": 16384})
         assert "d_graph_offsets" in src
         assert "d_graph_nbrs" in src
@@ -79,17 +82,13 @@ class TestHostDriver:
     def test_filter_counter_initialized(self):
         from repro.apps.outlier_histogram import build_outlier_filter
 
-        module = compile_program(
-            build_outlier_filter(), "multidim", N=4096
-        )
+        module = compile_module(build_outlier_filter(), N=4096)
         src = generate_host_driver(module, {"N": 4096})
         assert "cudaMemset(d_count_" in src
 
     def test_multi_kernel_program(self):
         from repro.apps.naive_bayes import build_naive_bayes
 
-        module = compile_program(
-            build_naive_bayes(), "multidim", DOCS=512, WORDS=256
-        )
+        module = compile_module(build_naive_bayes(), DOCS=512, WORDS=256)
         src = generate_host_driver(module, {"DOCS": 512, "WORDS": 256})
         assert src.count("<<<grid_") == 2 + src.count("_combine<<<") * 0

@@ -3,15 +3,22 @@
 import pytest
 
 from repro.analysis.mapping import Dim, LevelMapping, Mapping, Span, SpanAll, Split, seq_level
-from repro.codegen.compiler import compile_program
 from repro.codegen.kernels import KernelGenerator
 from repro.analysis.analyzer import analyze_program
+from repro.optim.pipeline import OptimizationFlags
+from repro.runtime import GpuSession
 
 
 def generate(program, mapping, **sizes):
     pa = analyze_program(program, **sizes)
     gen = KernelGenerator(pa.kernel(0), mapping, program, "k")
     return gen.generate()
+
+
+def compile_module(program, strategy="multidim", flags=None, **sizes):
+    """The CUDA module a session compile emits for ``program``."""
+    session = GpuSession(strategy=strategy, flags=flags)
+    return session.compile(program, **sizes).module
 
 
 class TestFigure9Golden:
@@ -125,17 +132,15 @@ class TestTemplateSelection:
         assert "if (threadIdx.x == 0) outm[" not in k.source
 
     def test_prealloc_buffer_parameter(self, sum_weighted_cols_program):
-        mod = compile_program(
-            sum_weighted_cols_program, "multidim", prealloc=True,
-            R=256, C=256,
-        )
+        mod = compile_module(sum_weighted_cols_program, R=256, C=256)
         src = mod.kernels[0].source
         assert "_buf" in src
         assert "malloc" not in src
 
     def test_malloc_path(self, sum_weighted_cols_program):
-        mod = compile_program(
-            sum_weighted_cols_program, "multidim", prealloc=False,
+        mod = compile_module(
+            sum_weighted_cols_program,
+            flags=OptimizationFlags.from_names(["prealloc"]),
             R=256, C=256,
         )
         assert "malloc(sizeof(double)" in mod.kernels[0].source
@@ -146,7 +151,7 @@ class TestTemplateSelection:
         b = Builder("f")
         xs = b.vector("xs", F64, length="N")
         prog = b.build(xs.filter(lambda e: e > 0))
-        mod = compile_program(prog, "multidim", N=10000)
+        mod = compile_module(prog, N=10000)
         src = mod.kernels[0].source
         assert "atomicAdd(out_count, 1)" in src
 
@@ -156,7 +161,7 @@ class TestTemplateSelection:
         b = Builder("g")
         xs = b.vector("xs", F64, length="N")
         prog = b.build(xs.group_by(lambda e: e.cast(I64)))
-        mod = compile_program(prog, "multidim", N=10000)
+        mod = compile_module(prog, N=10000)
         src = mod.kernels[0].source
         assert "atomicAdd(&group_counts" in src
 
@@ -165,7 +170,7 @@ class TestEmbeddedPatterns:
     def test_pagerank_hoists_reduce_value(self):
         from repro.apps.pagerank import build_pagerank
 
-        mod = compile_program(build_pagerank(), "multidim", N=4096, E=65536)
+        mod = compile_module(build_pagerank(), N=4096, E=65536)
         src = mod.kernels[0].source
         # the reduce result lands in a hoisted local used by the final
         # expression
@@ -175,7 +180,7 @@ class TestEmbeddedPatterns:
     def test_device_function_preamble(self):
         from repro.apps.mandelbrot import build_mandelbrot
 
-        mod = compile_program(build_mandelbrot(), "multidim", H=64, W=64)
+        mod = compile_module(build_mandelbrot(), H=64, W=64)
         assert "__device__ double mandel" in mod.source
         assert "mandel(" in mod.kernels[0].source
 
@@ -184,8 +189,7 @@ class TestModule:
     def test_one_kernel_per_outer_pattern(self):
         from repro.apps.naive_bayes import build_naive_bayes
 
-        mod = compile_program(build_naive_bayes(), "multidim",
-                              DOCS=256, WORDS=256)
+        mod = compile_module(build_naive_bayes(), DOCS=256, WORDS=256)
         assert len(mod.kernels) == 2
         assert mod.kernels[0].name != mod.kernels[1].name
         # two main kernels, plus combiner kernels if ControlDOP split one
@@ -194,11 +198,11 @@ class TestModule:
     def test_struct_params_flattened(self):
         from repro.apps.pagerank import build_pagerank
 
-        mod = compile_program(build_pagerank(), "multidim", N=4096, E=65536)
+        mod = compile_module(build_pagerank(), N=4096, E=65536)
         sig_names = [name for _, name in mod.kernels[0].params]
         assert "graph_offsets" in sig_names
         assert "graph_nbrs" in sig_names
 
     def test_fixed_strategy_codegen(self, sum_rows_program):
-        mod = compile_program(sum_rows_program, "warp-based", R=512, C=512)
+        mod = compile_module(sum_rows_program, "warp-based", R=512, C=512)
         assert "__global__" in mod.source

@@ -9,6 +9,7 @@ launches one block, an impossible geometry raises a typed
 import pytest
 
 from repro.analysis import analyze_program
+from repro.analysis.mapping import LevelMapping, Span
 from repro.analysis.scoring import hard_feasible
 from repro.analysis.search import search_mapping
 from repro.errors import LaunchError
@@ -67,11 +68,17 @@ class TestDegenerateLaunches:
             adjust_at_launch(mapping, ka.constraints, (-1, 64))
 
     def test_no_feasible_geometry_raises_typed_error(self, kernel):
-        """A block-size grid with no valid entry must raise LaunchError,
-        not fall off the end of the candidate loop with an IndexError."""
+        """A mapping no block-size combination can launch must raise
+        LaunchError, not fall off the end of the candidate loop with an
+        IndexError.  Level 1 is a reduction that requires Span(all);
+        the re-tune keeps span kinds, so every candidate keeps the
+        infeasible Span(1)."""
         ka, mapping = kernel
+        assert 1 in ka.constraints.span_all_levels()
+        level = mapping.level(1)
+        infeasible = mapping.with_level(
+            1, LevelMapping(level.dim, level.block_size, Span(1))
+        )
         with pytest.raises(LaunchError) as info:
-            adjust_at_launch(
-                mapping, ka.constraints, (64, 64), block_sizes=(4096,)
-            )
+            adjust_at_launch(infeasible, ka.constraints, (64, 64))
         assert "no feasible launch geometry" in str(info.value)

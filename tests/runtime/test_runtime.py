@@ -1,5 +1,7 @@
 """Tests for the runtime layer: buffers, dynamic launch, sessions."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,31 @@ class TestGpuSession:
             include_transfer=True, input_bytes=1e6
         )
         assert cost.transfer_us > 0
+
+    def test_one_analysis_per_compile(self, monkeypatch):
+        """Codegen and the cost estimate read the session's decisions:
+        a compile analyzes the program exactly once."""
+        from repro.apps.naive_bayes import build_naive_bayes
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return analyze_program(*args, **kwargs)
+
+        # Every ``from ... import analyze_program`` binding in the package.
+        bindings = [
+            module for module in list(sys.modules.values())
+            if getattr(module, "__name__", "").startswith("repro")
+            and getattr(module, "analyze_program", None) is analyze_program
+        ]
+        for module in bindings:
+            monkeypatch.setattr(module, "analyze_program", counting)
+        compiled = GpuSession().compile(
+            build_naive_bayes(), DOCS=512, WORDS=256
+        )
+        compiled.estimate_cost()
+        assert calls == ["naiveBayes"]
 
     def test_multi_kernel_session(self):
         from repro.apps.naive_bayes import build_naive_bayes
